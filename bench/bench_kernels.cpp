@@ -4,7 +4,10 @@
 // ratios of the CPU/GPU device model. Writes BENCH_kernels.json — the
 // SIMD-vs-scalar sweep CI gates against the committed reference
 // (tools/check_kernels.py): the vector paths must beat the scalar
-// references and stay inside the documented physics tolerance.
+// references and stay inside the documented physics tolerance (for
+// Hermite: bit-identical). Each row names the ISA and lane count its
+// vector path ran at: the run-time dispatched tile for Hermite, the
+// compile-time baseline for SPH and BH.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -17,6 +20,7 @@
 #include "amuse/ic.hpp"
 #include "kernels/bhtree.hpp"
 #include "kernels/hermite.hpp"
+#include "kernels/hermite_tile.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/sph.hpp"
 #include "kernels/sse.hpp"
@@ -155,15 +159,18 @@ void Kernel_CpuVsGpuCostModel(benchmark::State& state) {
 // Each kernel runs the identical physics twice — set_simd(true) and
 // set_simd(false) — from the same ICs. Wall time is best-of-reps (robust
 // against scheduler noise); the deviation is the max relative state
-// difference, which only lane reassociation can produce. The hermite sweep
-// needs a 2-lane pool: a 1-lane pool routes to the sequential symmetric
-// path, which is always scalar by design (it is the bit-exactness
-// reference) — set_simd only affects the tiled path. The tiled path's
-// j-order is fixed per i regardless of lane count, so the scalar/simd
-// comparison stays deterministic.
+// difference, which only lane reassociation can produce — the Hermite
+// i-lane tile runs the scalar order in every lane, so its deviation is 0.
+// The hermite sweep needs a 2-lane pool: a 1-lane pool routes to the
+// sequential symmetric path, which is always scalar by design (it is the
+// bit-exactness reference) — set_simd only affects the tiled path. The
+// tiled path's source order is fixed per row regardless of lane count, so
+// the scalar/simd comparison stays deterministic.
 
 struct SimdRow {
   std::string name;
+  std::string isa;       // ISA the vector path ran at
+  std::size_t lanes;
   double scalar_ms;
   double simd_ms;
   double speedup;        // scalar / simd wall time
@@ -214,8 +221,9 @@ SimdRow sweep_hermite(std::size_t n) {
   evolve(true, &simd_pos);
   double scalar_ms = best_of_ms([&] { evolve(false, nullptr); });
   double simd_ms = best_of_ms([&] { evolve(true, nullptr); });
-  return {"hermite_jblock", scalar_ms, simd_ms, scalar_ms / simd_ms,
-          rel_dev(simd_pos, scalar_pos)};
+  const hermite_tile::Tile& tile = hermite_tile::dispatched();
+  return {"hermite_jblock", tile.isa, tile.lanes, scalar_ms, simd_ms,
+          scalar_ms / simd_ms, rel_dev(simd_pos, scalar_pos)};
 }
 
 SimdRow sweep_sph(std::size_t n) {
@@ -240,8 +248,8 @@ SimdRow sweep_sph(std::size_t n) {
   evolve(true, &simd_pos);
   double scalar_ms = best_of_ms([&] { evolve(false, nullptr); });
   double simd_ms = best_of_ms([&] { evolve(true, nullptr); });
-  return {"sph_density", scalar_ms, simd_ms, scalar_ms / simd_ms,
-          rel_dev(simd_pos, scalar_pos)};
+  return {"sph_density", simd::kIsa, simd::kWidth, scalar_ms, simd_ms,
+          scalar_ms / simd_ms, rel_dev(simd_pos, scalar_pos)};
 }
 
 SimdRow sweep_bhtree(std::size_t n) {
@@ -263,8 +271,8 @@ SimdRow sweep_bhtree(std::size_t n) {
   simd_acc = accel;
   double scalar_ms = best_of_ms([&] { force(false); });
   double simd_ms = best_of_ms([&] { force(true); });
-  return {"bhtree_leaf", scalar_ms, simd_ms, scalar_ms / simd_ms,
-          rel_dev(simd_acc, scalar_acc)};
+  return {"bhtree_leaf", simd::kIsa, simd::kWidth, scalar_ms, simd_ms,
+          scalar_ms / simd_ms, rel_dev(simd_acc, scalar_acc)};
 }
 
 }  // namespace
@@ -278,22 +286,20 @@ class KernelsReporter : public benchmark::ConsoleReporter {
     rows.push_back(sweep_sph(4000));
     rows.push_back(sweep_bhtree(8192));
 
-    std::printf("\n=== SIMD (%s, %zu lanes) vs scalar reference ===\n",
-                kernels::simd::kIsa, kernels::simd::kWidth);
+    std::printf("\n=== SIMD vs scalar reference ===\n");
     for (const SimdRow& row : rows) {
-      std::printf("  %-16s scalar=%8.3f ms  simd=%8.3f ms  %.2fx  "
-                  "dev=%.3g\n",
-                  row.name.c_str(), row.scalar_ms, row.simd_ms, row.speedup,
-                  row.max_rel_dev);
+      std::printf("  %-16s %-6s x%zu  scalar=%8.3f ms  simd=%8.3f ms  "
+                  "%.2fx  dev=%.3g\n",
+                  row.name.c_str(), row.isa.c_str(), row.lanes, row.scalar_ms,
+                  row.simd_ms, row.speedup, row.max_rel_dev);
     }
 
     std::ofstream json("BENCH_kernels.json");
-    json << "{\n  \"isa\": \"" << kernels::simd::kIsa << "\",\n";
-    json << "  \"lanes\": " << kernels::simd::kWidth << ",\n";
-    json << "  \"benchmarks\": [\n";
+    json << "{\n  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      json << "    {\"name\": \"" << rows[i].name
-           << "\", \"scalar_ms\": " << rows[i].scalar_ms
+      json << "    {\"name\": \"" << rows[i].name << "\", \"isa\": \""
+           << rows[i].isa << "\", \"lanes\": " << rows[i].lanes
+           << ", \"scalar_ms\": " << rows[i].scalar_ms
            << ", \"simd_ms\": " << rows[i].simd_ms
            << ", \"simd_speedup\": " << rows[i].speedup
            << ", \"max_rel_dev\": " << rows[i].max_rel_dev << "}"

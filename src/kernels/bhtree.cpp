@@ -240,7 +240,7 @@ void BarnesHutTree::field_at(const Vec3& point, Vec3* accel, double* phi,
       if constexpr (!Potential) {
         if (simd_ && simd::kWidth > 1 &&
             n >= static_cast<std::int32_t>(simd::kWidth)) {
-          namespace sd = simd;
+          using sd = simd::Native;
           constexpr std::int32_t W = static_cast<std::int32_t>(sd::kWidth);
           sd::VecD axv = sd::zero(), ayv = sd::zero(), azv = sd::zero();
           const sd::VecD px = sd::set1(point.x), py = sd::set1(point.y),

@@ -1,21 +1,11 @@
 #include "kernels/hermite.hpp"
 
 #include <algorithm>
-#include <array>
-#include <limits>
 
-#include "kernels/simd.hpp"
+#include "kernels/hermite_tile.hpp"
 #include "util/parallel.hpp"
 
 namespace jungle::kernels {
-
-namespace {
-// Tile sizes for the parallel force path: an i-block's accumulators live in
-// registers/stack while a j-tile of the SoA source arrays stays L1-resident
-// (kJTile * 7 doubles = 28 KiB).
-constexpr std::size_t kIBlock = 64;
-constexpr std::size_t kJTile = 512;
-}  // namespace
 
 HermiteIntegrator::HermiteIntegrator() : HermiteIntegrator(Params{}) {}
 HermiteIntegrator::HermiteIntegrator(Params params) : params_(params) {}
@@ -66,12 +56,12 @@ void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
     return;
   }
 
-  // Tiled path: each i-block owns its acc/jerk rows outright (no symmetric
-  // write to row j, so no contention), and walks the sources in L1-sized
-  // j-tiles of SoA arrays. For a fixed i the j order is 0..n-1 regardless
-  // of lane count, so results are independent of threading. A sharded
-  // integrator restricts the i rows to its owned range; the j sources
-  // always span the full system.
+  // Tiled path: each row block owns its acc/jerk rows outright (no
+  // symmetric write to row j, so no contention), and walks the sources in
+  // L1-sized tiles of SoA arrays. For a fixed row the source order is
+  // 0..n-1 whatever the lane count or the tile's ISA, so results are
+  // independent of both. A sharded integrator restricts the rows to its
+  // owned range; the sources always span the full system.
   sx_.resize(n);
   sy_.resize(n);
   sz_.resize(n);
@@ -86,107 +76,15 @@ void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
     svy_[i] = velocities[i].y;
     svz_[i] = velocities[i].z;
   }
-  const double eps2 = params_.eps2;
-  const bool vectorize = simd_ && simd::kWidth > 1;
-  pool.parallel_for(rlo, rhi, kIBlock, [&](std::size_t lo, std::size_t hi,
-                                           unsigned /*lane*/) {
-    std::array<double, kIBlock> ax{}, ay{}, az{}, jx{}, jy{}, jz{};
-    for (std::size_t jb = 0; jb < n; jb += kJTile) {
-      std::size_t jend = std::min(n, jb + kJTile);
-      for (std::size_t i = lo; i < hi; ++i) {
-        double xi = sx_[i], yi = sy_[i], zi = sz_[i];
-        double vxi = svx_[i], vyi = svy_[i], vzi = svz_[i];
-        double axi = 0.0, ayi = 0.0, azi = 0.0;
-        double jxi = 0.0, jyi = 0.0, jzi = 0.0;
-        // Scalar j-accumulation: the reference loop (also the tail and the
-        // self-lane block of the vector path).
-        auto scalar_range = [&](std::size_t a, std::size_t b) {
-          for (std::size_t j = a; j < b; ++j) {
-            if (j == i) continue;
-            double dx = sx_[j] - xi;
-            double dy = sy_[j] - yi;
-            double dz = sz_[j] - zi;
-            double dvx = svx_[j] - vxi;
-            double dvy = svy_[j] - vyi;
-            double dvz = svz_[j] - vzi;
-            double r2 = dx * dx + dy * dy + dz * dz + eps2;
-            double inv_r = 1.0 / std::sqrt(r2);
-            double inv_r2 = inv_r * inv_r;
-            double inv_r3 = inv_r2 * inv_r;
-            double rv = dx * dvx + dy * dvy + dz * dvz;
-            double alpha = 3.0 * rv * inv_r2;
-            double m_r3 = mass_[j] * inv_r3;
-            axi += m_r3 * dx;
-            ayi += m_r3 * dy;
-            azi += m_r3 * dz;
-            jxi += m_r3 * (dvx - alpha * dx);
-            jyi += m_r3 * (dvy - alpha * dy);
-            jzi += m_r3 * (dvz - alpha * dz);
-          }
-        };
-        if (!vectorize) {
-          scalar_range(jb, jend);
-        } else {
-          namespace sd = simd;
-          constexpr std::size_t W = sd::kWidth;
-          sd::VecD axv = sd::zero(), ayv = sd::zero(), azv = sd::zero();
-          sd::VecD jxv = sd::zero(), jyv = sd::zero(), jzv = sd::zero();
-          const sd::VecD xiv = sd::set1(xi), yiv = sd::set1(yi),
-                         ziv = sd::set1(zi);
-          const sd::VecD vxiv = sd::set1(vxi), vyiv = sd::set1(vyi),
-                         vziv = sd::set1(vzi);
-          const sd::VecD eps2v = sd::set1(eps2);
-          const sd::VecD onev = sd::set1(1.0), threev = sd::set1(3.0);
-          std::size_t j = jb;
-          for (; j + W <= jend; j += W) {
-            if (i >= j && i < j + W) {
-              // The vector block containing i: take the scalar loop so the
-              // j == i self-interaction is skipped exactly, softening-free
-              // configurations included.
-              scalar_range(j, j + W);
-              continue;
-            }
-            sd::VecD dx = sd::load(&sx_[j]) - xiv;
-            sd::VecD dy = sd::load(&sy_[j]) - yiv;
-            sd::VecD dz = sd::load(&sz_[j]) - ziv;
-            sd::VecD dvx = sd::load(&svx_[j]) - vxiv;
-            sd::VecD dvy = sd::load(&svy_[j]) - vyiv;
-            sd::VecD dvz = sd::load(&svz_[j]) - vziv;
-            sd::VecD r2 = dx * dx + dy * dy + dz * dz + eps2v;
-            sd::VecD inv_r = onev / sd::sqrt(r2);
-            sd::VecD inv_r2 = inv_r * inv_r;
-            sd::VecD inv_r3 = inv_r2 * inv_r;
-            sd::VecD rv = dx * dvx + dy * dvy + dz * dvz;
-            sd::VecD alpha = threev * rv * inv_r2;
-            sd::VecD m_r3 = sd::load(&mass_[j]) * inv_r3;
-            axv = axv + m_r3 * dx;
-            ayv = ayv + m_r3 * dy;
-            azv = azv + m_r3 * dz;
-            jxv = jxv + m_r3 * (dvx - alpha * dx);
-            jyv = jyv + m_r3 * (dvy - alpha * dy);
-            jzv = jzv + m_r3 * (dvz - alpha * dz);
-          }
-          scalar_range(j, jend);  // tail
-          axi += sd::hsum(axv);
-          ayi += sd::hsum(ayv);
-          azi += sd::hsum(azv);
-          jxi += sd::hsum(jxv);
-          jyi += sd::hsum(jyv);
-          jzi += sd::hsum(jzv);
-        }
-        ax[i - lo] += axi;
-        ay[i - lo] += ayi;
-        az[i - lo] += azi;
-        jx[i - lo] += jxi;
-        jy[i - lo] += jyi;
-        jz[i - lo] += jzi;
-      }
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      acc[i] = {ax[i - lo], ay[i - lo], az[i - lo]};
-      jerk[i] = {jx[i - lo], jy[i - lo], jz[i - lo]};
-    }
-  });
+  const hermite_tile::Sources sources{sx_.data(),  sy_.data(),  sz_.data(),
+                                      svx_.data(), svy_.data(), svz_.data(),
+                                      mass_.data(), n,          params_.eps2};
+  const hermite_tile::TileFn tile =
+      simd_ ? hermite_tile::dispatched().run : hermite_tile::scalar().run;
+  pool.parallel_for(rlo, rhi, hermite_tile::kIBlock,
+                    [&](std::size_t lo, std::size_t hi, unsigned /*lane*/) {
+                      tile(sources, lo, hi, acc.data(), jerk.data());
+                    });
   pairs_ += static_cast<std::uint64_t>(rhi - rlo) * (n - 1);
 }
 

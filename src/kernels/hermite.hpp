@@ -80,10 +80,13 @@ class HermiteIntegrator {
   void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
   static constexpr std::size_t kParallelThreshold = 256;
 
-  /// Vectorized j-accumulation in the tiled force path (simd.hpp lanes).
-  /// Off = the scalar loop, the bit-exactness reference the vector path is
-  /// benched against. Ignored by the sequential symmetric path, which is
-  /// always scalar.
+  /// Vector tile in the tiled force path: each lane carries its own target
+  /// row (the i-lane layout), at the widest width the CPU supports, chosen
+  /// once at run time (AVX2 on x86-64 where available, else the build's
+  /// SSE2/NEON baseline). Every lane runs the scalar loop's operation order,
+  /// so on and off give bit-identical forces; off runs the scalar loop, the
+  /// reference the vector tile is tested and benched against. Ignored by
+  /// the sequential symmetric path, which is always scalar.
   void set_simd(bool enabled) noexcept { simd_ = enabled; }
   bool simd_enabled() const noexcept { return simd_; }
 

@@ -4,28 +4,42 @@
 #include <cstdint>
 #include <cmath>
 
-// Portable fixed-width SIMD wrapper for the kernels' double-precision inner
-// loops. One vector type (`simd::VecD`) whose lane count is picked at
-// compile time from the target ISA:
+// Portable fixed-width SIMD wrappers for the kernels' double-precision inner
+// loops. Each instruction set is a tag struct carrying its lane count, its
+// name, a vector type `VecD` and the operations on it, so one loop template
+// can be instantiated once per ISA:
 //
-//   AVX2/AVX x86-64 ....... 4 lanes (__m256d)
-//   SSE2 x86-64 (baseline) . 2 lanes (__m128d)
-//   NEON aarch64 ........... 2 lanes (float64x2_t)
-//   anything else .......... 1 lane  (plain double)
+//   simd::Sse2 .... 2 lanes (__m128d)      x86-64 baseline
+//   simd::Neon .... 2 lanes (float64x2_t)  aarch64 baseline
+//   simd::Scalar .. 1 lane  (plain double) anything else
+//   simd::Avx2 .... 4 lanes (__m256d)      x86-64, compiled for the avx2
+//                                          target in-source; callers must
+//                                          check the CPU before running it
+//
+// `simd::Native` is the compile-time baseline (what every CPU of the build
+// target runs); `kWidth` and `kIsa` name it. Avx2 exists for extra
+// instantiations chosen at run time: the code using it must itself be
+// compiled for the avx2 target, with everything between its entry point
+// and these operations inlined (see hermite_tile.cpp).
 //
 // Only IEEE-754 correctly-rounded operations are exposed (+ - * / sqrt and
-// bitwise selects) — no FMA contraction, no rsqrt/rcp approximations — so a
-// given summation order produces bit-identical results on every ISA and at
-// every width-1 fallback. Vectorized loops still reassociate sums across
-// lanes, which is why the scalar paths stay around as the bit-exactness
-// reference (kernels expose a runtime set_simd(false) switch).
+// bitwise selects) — no FMA, no rsqrt/rcp approximations. The Avx2 target is
+// "avx2" without "fma" on purpose: with GCC's default -ffp-contract=fast an
+// FMA-enabled target contracts a*b + c and changes the rounding. So one
+// per-lane operation sequence gives bit-identical results on every ISA.
+// Whether a vector loop matches its scalar reference then depends only on
+// its layout: the Hermite i-lane tile gives each lane its own target row
+// and runs the scalar order per lane (bit-identical); the SPH gather and the
+// BH near-leaf loop put sources in lanes and reassociate the sum, which is
+// why those kernels keep scalar references behind set_simd(false).
 
-#if defined(__AVX2__) || defined(__AVX__)
+#if defined(__x86_64__) || defined(_M_X64) || defined(__SSE2__)
 #include <immintrin.h>
-#define JUNGLE_SIMD_AVX 1
-#elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
-#include <emmintrin.h>
 #define JUNGLE_SIMD_SSE2 1
+// The AVX2 instantiation relies on GCC's target pragma.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define JUNGLE_SIMD_AVX2 1
+#endif
 #elif defined(__ARM_NEON) || defined(__aarch64__)
 #include <arm_neon.h>
 #define JUNGLE_SIMD_NEON 1
@@ -33,159 +47,164 @@
 
 namespace jungle::kernels::simd {
 
-#if defined(JUNGLE_SIMD_AVX)
-
-inline constexpr std::size_t kWidth = 4;
-inline constexpr const char* kIsa = "avx";
-
-struct VecD {
-  __m256d raw;
+struct Scalar {
+  static constexpr std::size_t kWidth = 1;
+  static constexpr const char* kName = "scalar";
+  struct VecD {
+    double raw;
+    friend VecD operator+(VecD a, VecD b) noexcept { return {a.raw + b.raw}; }
+    friend VecD operator-(VecD a, VecD b) noexcept { return {a.raw - b.raw}; }
+    friend VecD operator*(VecD a, VecD b) noexcept { return {a.raw * b.raw}; }
+    friend VecD operator/(VecD a, VecD b) noexcept { return {a.raw / b.raw}; }
+  };
+  static VecD load(const double* p) noexcept { return {*p}; }
+  static void store(double* p, VecD v) noexcept { *p = v.raw; }
+  static VecD set1(double v) noexcept { return {v}; }
+  static VecD zero() noexcept { return {0.0}; }
+  static VecD sqrt(VecD a) noexcept { return {std::sqrt(a.raw)}; }
+  /// Lane mask (all-ones / all-zeros bits) for a < b.
+  static VecD less(VecD a, VecD b) noexcept {
+    std::uint64_t bits = a.raw < b.raw ? ~std::uint64_t{0} : 0;
+    double mask;
+    __builtin_memcpy(&mask, &bits, sizeof(mask));
+    return {mask};
+  }
+  /// mask ? a : b, per lane, bitwise (a NaN in the unselected side is
+  /// dropped).
+  static VecD select(VecD mask, VecD a, VecD b) noexcept {
+    std::uint64_t mbits, abits, bbits;
+    __builtin_memcpy(&mbits, &mask.raw, sizeof(mbits));
+    __builtin_memcpy(&abits, &a.raw, sizeof(abits));
+    __builtin_memcpy(&bbits, &b.raw, sizeof(bbits));
+    std::uint64_t rbits = (mbits & abits) | (~mbits & bbits);
+    double r;
+    __builtin_memcpy(&r, &rbits, sizeof(r));
+    return {r};
+  }
+  static double hsum(VecD v) noexcept { return v.raw; }
 };
 
-inline VecD load(const double* p) noexcept { return {_mm256_loadu_pd(p)}; }
-inline void store(double* p, VecD v) noexcept { _mm256_storeu_pd(p, v.raw); }
-inline VecD set1(double v) noexcept { return {_mm256_set1_pd(v)}; }
-inline VecD zero() noexcept { return {_mm256_setzero_pd()}; }
-inline VecD operator+(VecD a, VecD b) noexcept {
-  return {_mm256_add_pd(a.raw, b.raw)};
-}
-inline VecD operator-(VecD a, VecD b) noexcept {
-  return {_mm256_sub_pd(a.raw, b.raw)};
-}
-inline VecD operator*(VecD a, VecD b) noexcept {
-  return {_mm256_mul_pd(a.raw, b.raw)};
-}
-inline VecD operator/(VecD a, VecD b) noexcept {
-  return {_mm256_div_pd(a.raw, b.raw)};
-}
-inline VecD sqrt(VecD a) noexcept { return {_mm256_sqrt_pd(a.raw)}; }
-/// Lane mask (all-ones / all-zeros bits) for a < b.
-inline VecD less(VecD a, VecD b) noexcept {
-  return {_mm256_cmp_pd(a.raw, b.raw, _CMP_LT_OQ)};
-}
-/// mask ? a : b, per lane.
-inline VecD select(VecD mask, VecD a, VecD b) noexcept {
-  return {_mm256_blendv_pd(b.raw, a.raw, mask.raw)};
-}
-inline double hsum(VecD v) noexcept {
-  __m128d lo = _mm256_castpd256_pd128(v.raw);
-  __m128d hi = _mm256_extractf128_pd(v.raw, 1);
-  // Fixed reduction tree (0+1) + (2+3): deterministic regardless of data.
-  __m128d pair = _mm_add_pd(lo, hi);
-  __m128d swap = _mm_unpackhi_pd(pair, pair);
-  return _mm_cvtsd_f64(_mm_add_sd(pair, swap));
-}
+#if defined(JUNGLE_SIMD_SSE2)
 
-#elif defined(JUNGLE_SIMD_SSE2)
-
-inline constexpr std::size_t kWidth = 2;
-inline constexpr const char* kIsa = "sse2";
-
-struct VecD {
-  __m128d raw;
+struct Sse2 {
+  static constexpr std::size_t kWidth = 2;
+  static constexpr const char* kName = "sse2";
+  struct VecD {
+    __m128d raw;
+    friend VecD operator+(VecD a, VecD b) noexcept {
+      return {_mm_add_pd(a.raw, b.raw)};
+    }
+    friend VecD operator-(VecD a, VecD b) noexcept {
+      return {_mm_sub_pd(a.raw, b.raw)};
+    }
+    friend VecD operator*(VecD a, VecD b) noexcept {
+      return {_mm_mul_pd(a.raw, b.raw)};
+    }
+    friend VecD operator/(VecD a, VecD b) noexcept {
+      return {_mm_div_pd(a.raw, b.raw)};
+    }
+  };
+  static VecD load(const double* p) noexcept { return {_mm_loadu_pd(p)}; }
+  static void store(double* p, VecD v) noexcept { _mm_storeu_pd(p, v.raw); }
+  static VecD set1(double v) noexcept { return {_mm_set1_pd(v)}; }
+  static VecD zero() noexcept { return {_mm_setzero_pd()}; }
+  static VecD sqrt(VecD a) noexcept { return {_mm_sqrt_pd(a.raw)}; }
+  static VecD less(VecD a, VecD b) noexcept {
+    return {_mm_cmplt_pd(a.raw, b.raw)};
+  }
+  static VecD select(VecD mask, VecD a, VecD b) noexcept {
+    return {_mm_or_pd(_mm_and_pd(mask.raw, a.raw),
+                      _mm_andnot_pd(mask.raw, b.raw))};
+  }
+  static double hsum(VecD v) noexcept {
+    __m128d swap = _mm_unpackhi_pd(v.raw, v.raw);
+    return _mm_cvtsd_f64(_mm_add_sd(v.raw, swap));
+  }
 };
-
-inline VecD load(const double* p) noexcept { return {_mm_loadu_pd(p)}; }
-inline void store(double* p, VecD v) noexcept { _mm_storeu_pd(p, v.raw); }
-inline VecD set1(double v) noexcept { return {_mm_set1_pd(v)}; }
-inline VecD zero() noexcept { return {_mm_setzero_pd()}; }
-inline VecD operator+(VecD a, VecD b) noexcept {
-  return {_mm_add_pd(a.raw, b.raw)};
-}
-inline VecD operator-(VecD a, VecD b) noexcept {
-  return {_mm_sub_pd(a.raw, b.raw)};
-}
-inline VecD operator*(VecD a, VecD b) noexcept {
-  return {_mm_mul_pd(a.raw, b.raw)};
-}
-inline VecD operator/(VecD a, VecD b) noexcept {
-  return {_mm_div_pd(a.raw, b.raw)};
-}
-inline VecD sqrt(VecD a) noexcept { return {_mm_sqrt_pd(a.raw)}; }
-inline VecD less(VecD a, VecD b) noexcept {
-  return {_mm_cmplt_pd(a.raw, b.raw)};
-}
-inline VecD select(VecD mask, VecD a, VecD b) noexcept {
-  return {_mm_or_pd(_mm_and_pd(mask.raw, a.raw),
-                    _mm_andnot_pd(mask.raw, b.raw))};
-}
-inline double hsum(VecD v) noexcept {
-  __m128d swap = _mm_unpackhi_pd(v.raw, v.raw);
-  return _mm_cvtsd_f64(_mm_add_sd(v.raw, swap));
-}
+using Native = Sse2;
 
 #elif defined(JUNGLE_SIMD_NEON)
 
-inline constexpr std::size_t kWidth = 2;
-inline constexpr const char* kIsa = "neon";
-
-struct VecD {
-  float64x2_t raw;
+struct Neon {
+  static constexpr std::size_t kWidth = 2;
+  static constexpr const char* kName = "neon";
+  struct VecD {
+    float64x2_t raw;
+    friend VecD operator+(VecD a, VecD b) noexcept {
+      return {vaddq_f64(a.raw, b.raw)};
+    }
+    friend VecD operator-(VecD a, VecD b) noexcept {
+      return {vsubq_f64(a.raw, b.raw)};
+    }
+    friend VecD operator*(VecD a, VecD b) noexcept {
+      return {vmulq_f64(a.raw, b.raw)};
+    }
+    friend VecD operator/(VecD a, VecD b) noexcept {
+      return {vdivq_f64(a.raw, b.raw)};
+    }
+  };
+  static VecD load(const double* p) noexcept { return {vld1q_f64(p)}; }
+  static void store(double* p, VecD v) noexcept { vst1q_f64(p, v.raw); }
+  static VecD set1(double v) noexcept { return {vdupq_n_f64(v)}; }
+  static VecD zero() noexcept { return {vdupq_n_f64(0.0)}; }
+  static VecD sqrt(VecD a) noexcept { return {vsqrtq_f64(a.raw)}; }
+  static VecD less(VecD a, VecD b) noexcept {
+    return {vreinterpretq_f64_u64(vcltq_f64(a.raw, b.raw))};
+  }
+  static VecD select(VecD mask, VecD a, VecD b) noexcept {
+    return {vbslq_f64(vreinterpretq_u64_f64(mask.raw), a.raw, b.raw)};
+  }
+  static double hsum(VecD v) noexcept {
+    return vgetq_lane_f64(v.raw, 0) + vgetq_lane_f64(v.raw, 1);
+  }
 };
-
-inline VecD load(const double* p) noexcept { return {vld1q_f64(p)}; }
-inline void store(double* p, VecD v) noexcept { vst1q_f64(p, v.raw); }
-inline VecD set1(double v) noexcept { return {vdupq_n_f64(v)}; }
-inline VecD zero() noexcept { return {vdupq_n_f64(0.0)}; }
-inline VecD operator+(VecD a, VecD b) noexcept {
-  return {vaddq_f64(a.raw, b.raw)};
-}
-inline VecD operator-(VecD a, VecD b) noexcept {
-  return {vsubq_f64(a.raw, b.raw)};
-}
-inline VecD operator*(VecD a, VecD b) noexcept {
-  return {vmulq_f64(a.raw, b.raw)};
-}
-inline VecD operator/(VecD a, VecD b) noexcept {
-  return {vdivq_f64(a.raw, b.raw)};
-}
-inline VecD sqrt(VecD a) noexcept { return {vsqrtq_f64(a.raw)}; }
-inline VecD less(VecD a, VecD b) noexcept {
-  return {vreinterpretq_f64_u64(vcltq_f64(a.raw, b.raw))};
-}
-inline VecD select(VecD mask, VecD a, VecD b) noexcept {
-  return {vbslq_f64(vreinterpretq_u64_f64(mask.raw), a.raw, b.raw)};
-}
-inline double hsum(VecD v) noexcept {
-  return vgetq_lane_f64(v.raw, 0) + vgetq_lane_f64(v.raw, 1);
-}
+using Native = Neon;
 
 #else
 
-inline constexpr std::size_t kWidth = 1;
-inline constexpr const char* kIsa = "scalar";
-
-struct VecD {
-  double raw;
-};
-
-inline VecD load(const double* p) noexcept { return {*p}; }
-inline void store(double* p, VecD v) noexcept { *p = v.raw; }
-inline VecD set1(double v) noexcept { return {v}; }
-inline VecD zero() noexcept { return {0.0}; }
-inline VecD operator+(VecD a, VecD b) noexcept { return {a.raw + b.raw}; }
-inline VecD operator-(VecD a, VecD b) noexcept { return {a.raw - b.raw}; }
-inline VecD operator*(VecD a, VecD b) noexcept { return {a.raw * b.raw}; }
-inline VecD operator/(VecD a, VecD b) noexcept { return {a.raw / b.raw}; }
-inline VecD sqrt(VecD a) noexcept { return {std::sqrt(a.raw)}; }
-inline VecD less(VecD a, VecD b) noexcept {
-  std::uint64_t bits = a.raw < b.raw ? ~std::uint64_t{0} : 0;
-  double mask;
-  __builtin_memcpy(&mask, &bits, sizeof(mask));
-  return {mask};
-}
-inline VecD select(VecD mask, VecD a, VecD b) noexcept {
-  std::uint64_t mbits, abits, bbits;
-  __builtin_memcpy(&mbits, &mask.raw, sizeof(mbits));
-  __builtin_memcpy(&abits, &a.raw, sizeof(abits));
-  __builtin_memcpy(&bbits, &b.raw, sizeof(bbits));
-  std::uint64_t rbits = (mbits & abits) | (~mbits & bbits);
-  double r;
-  __builtin_memcpy(&r, &rbits, sizeof(r));
-  return {r};
-}
-inline double hsum(VecD v) noexcept { return v.raw; }
+using Native = Scalar;
 
 #endif
+
+#if defined(JUNGLE_SIMD_AVX2)
+// Every member below is compiled for the avx2 target whatever the build
+// flags say; nothing here may run before the CPU has been checked.
+#pragma GCC push_options
+#pragma GCC target("avx2")
+struct Avx2 {
+  static constexpr std::size_t kWidth = 4;
+  static constexpr const char* kName = "avx2";
+  struct VecD {
+    __m256d raw;
+  };
+  static VecD load(const double* p) noexcept { return {_mm256_loadu_pd(p)}; }
+  static void store(double* p, VecD v) noexcept { _mm256_storeu_pd(p, v.raw); }
+  static VecD set1(double v) noexcept { return {_mm256_set1_pd(v)}; }
+  static VecD zero() noexcept { return {_mm256_setzero_pd()}; }
+  static VecD sqrt(VecD a) noexcept { return {_mm256_sqrt_pd(a.raw)}; }
+  static VecD select(VecD mask, VecD a, VecD b) noexcept {
+    return {_mm256_blendv_pd(b.raw, a.raw, mask.raw)};
+  }
+};
+// Namespace-scope operators rather than hidden friends: GCC does not apply
+// the target pragma to friend functions defined in a class.
+inline Avx2::VecD operator+(Avx2::VecD a, Avx2::VecD b) noexcept {
+  return {_mm256_add_pd(a.raw, b.raw)};
+}
+inline Avx2::VecD operator-(Avx2::VecD a, Avx2::VecD b) noexcept {
+  return {_mm256_sub_pd(a.raw, b.raw)};
+}
+inline Avx2::VecD operator*(Avx2::VecD a, Avx2::VecD b) noexcept {
+  return {_mm256_mul_pd(a.raw, b.raw)};
+}
+inline Avx2::VecD operator/(Avx2::VecD a, Avx2::VecD b) noexcept {
+  return {_mm256_div_pd(a.raw, b.raw)};
+}
+#pragma GCC pop_options
+#endif
+
+// The compile-time baseline, as used by the SPH and BH vector loops.
+inline constexpr std::size_t kWidth = Native::kWidth;
+inline constexpr const char* kIsa = Native::kName;
 
 }  // namespace jungle::kernels::simd

@@ -185,7 +185,7 @@ void SphSystem::density_at(std::size_t i, std::vector<int>& scratch,
       // lanes with the piecewise branches folded into bitwise selects. The
       // per-lane arithmetic mirrors kernel_w() exactly; only the summation
       // order across neighbours differs from the scalar loop.
-      namespace sd = simd;
+      using sd = simd::Native;
       constexpr std::size_t W = sd::kWidth;
       tl_gx.resize(m);
       tl_gy.resize(m);

@@ -194,7 +194,11 @@ class ByteReader {
   std::vector<T> get_vector() {
     std::size_t count = checked_count<T>();
     std::vector<T> values(count);
-    std::memcpy(values.data(), bytes_.data() + cursor_, count * sizeof(T));
+    // An empty vector's data() may be null, and memcpy with a null pointer
+    // is undefined even for zero bytes.
+    if (count != 0) {
+      std::memcpy(values.data(), bytes_.data() + cursor_, count * sizeof(T));
+    }
     cursor_ += count * sizeof(T);
     return values;
   }

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "amuse/ic.hpp"
 #include "kernels/bhtree.hpp"
 #include "kernels/hermite.hpp"
+#include "kernels/hermite_tile.hpp"
 #include "kernels/sph.hpp"
 #include "kernels/sse.hpp"
 #include "kernels/treefield.hpp"
@@ -279,6 +284,111 @@ TEST(Hermite, ForcesIndependentOfThreadCount) {
     EXPECT_NEAR(one.positions()[i].y, four_a.positions()[i].y, 1e-12) << i;
     EXPECT_NEAR(one.positions()[i].z, four_a.positions()[i].z, 1e-12) << i;
     EXPECT_NEAR(one.velocities()[i].x, four_a.velocities()[i].x, 1e-12) << i;
+  }
+}
+
+namespace {
+
+bool same_bits(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
+}
+
+}  // namespace
+
+TEST(HermiteTile, EveryHostTileMatchesScalarBitForBit) {
+  // n = 1030 is a multiple of neither the source tile nor any lane width.
+  const std::size_t n = 1030;
+  ASSERT_NE(n % hermite_tile::kJTile, 0u);
+  util::Rng rng(41);
+  auto model = amuse::ic::plummer_sphere(n, rng);
+  std::vector<double> x(n), y(n), z(n), vx(n), vy(n), vz(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = model.position[i].x;
+    y[i] = model.position[i].y;
+    z[i] = model.position[i].z;
+    vx[i] = model.velocity[i].x;
+    vy[i] = model.velocity[i].y;
+    vz[i] = model.velocity[i].z;
+  }
+  // Owned row ranges: the full system; a shard not starting at 0; lengths
+  // that leave scalar tail rows after the last full lane group (and after
+  // the last full row block); groups whose rows straddle the source-tile
+  // boundary at kJTile, so their self pairs fall in two tiles; a range
+  // shorter than any lane group.
+  const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+      {0, n}, {257, 771}, {3, 70}, {5, n}, {509, 530}, {511, 600},
+      {1027, n}};
+  const auto tiles = hermite_tile::supported();
+  std::printf("host tiles:");
+  for (const auto& tile : tiles) std::printf(" %s/%zu", tile.isa, tile.lanes);
+  std::printf("\n");
+  // eps2 = 0 with distinct positions: the unsoftened self pair is inf/NaN,
+  // which the self-pair mask must keep out of the sums.
+  for (double eps2 : {1e-4, 0.0}) {
+    const hermite_tile::Sources sources{x.data(),  y.data(),  z.data(),
+                                        vx.data(), vy.data(), vz.data(),
+                                        model.mass.data(), n, eps2};
+    for (auto [lo, hi] : ranges) {
+      std::vector<Vec3> ref_acc(n), ref_jerk(n);
+      hermite_tile::scalar().run(sources, lo, hi, ref_acc.data(),
+                                 ref_jerk.data());
+      for (std::size_t i = lo; i < hi; ++i) {
+        ASSERT_TRUE(std::isfinite(ref_acc[i].norm2()) &&
+                    std::isfinite(ref_jerk[i].norm2()))
+            << "row " << i << " eps2 " << eps2;
+      }
+      for (const auto& tile : tiles) {
+        std::vector<Vec3> acc(n), jerk(n);
+        tile.run(sources, lo, hi, acc.data(), jerk.data());
+        EXPECT_TRUE(same_bits(acc, ref_acc))
+            << tile.isa << " acc [" << lo << ", " << hi << ") eps2 " << eps2;
+        EXPECT_TRUE(same_bits(jerk, ref_jerk))
+            << tile.isa << " jerk [" << lo << ", " << hi << ") eps2 " << eps2;
+      }
+    }
+  }
+}
+
+TEST(HermiteTile, DispatchPicksTheWidestSupportedTile) {
+  const auto tiles = hermite_tile::supported();
+  const auto& chosen = hermite_tile::dispatched();
+  if (tiles.empty()) {
+    EXPECT_EQ(chosen.run, hermite_tile::scalar().run);
+  } else {
+    EXPECT_EQ(chosen.run, tiles.back().run);
+    for (const auto& tile : tiles) EXPECT_LE(tile.lanes, chosen.lanes);
+  }
+}
+
+TEST(Hermite, SimdAndScalarEvolveBitIdentical) {
+  // A 4-lane pool and N above kParallelThreshold: the tiled path, full and
+  // sharded (a shard's rows start past 0 and end before N).
+  const std::size_t n = 400;
+  util::Rng rng(29);
+  auto model = amuse::ic::plummer_sphere(n, rng);
+  util::ThreadPool pool(4);
+  auto run = [&](bool simd, std::size_t lo, std::size_t hi) {
+    HermiteIntegrator nbody;
+    nbody.set_thread_pool(&pool);
+    nbody.set_simd(simd);
+    for (std::size_t i = 0; i < n; ++i) {
+      nbody.add_particle(model.mass[i], model.position[i], model.velocity[i]);
+    }
+    nbody.set_owned_range(lo, hi);
+    nbody.evolve(1.0 / 32.0);
+    return nbody;
+  };
+  for (auto [lo, hi] : {std::pair<std::size_t, std::size_t>{0, n},
+                        std::pair<std::size_t, std::size_t>{101, 299}}) {
+    HermiteIntegrator vec = run(true, lo, hi);
+    HermiteIntegrator ref = run(false, lo, hi);
+    EXPECT_GT(vec.substeps(), 1u);
+    EXPECT_EQ(vec.substeps(), ref.substeps());
+    EXPECT_TRUE(same_bits(vec.positions(), ref.positions())) << lo;
+    EXPECT_TRUE(same_bits(vec.velocities(), ref.velocities())) << lo;
+    EXPECT_TRUE(same_bits(vec.accelerations(), ref.accelerations())) << lo;
+    EXPECT_TRUE(same_bits(vec.jerks(), ref.jerks())) << lo;
   }
 }
 

@@ -77,6 +77,16 @@ TEST(ByteBuffer, RoundTripStringsAndVectors) {
   EXPECT_EQ(reader.get_string(), "");
 }
 
+TEST(ByteBuffer, RoundTripEmptyVector) {
+  ju::ByteWriter writer;
+  writer.put_vector(std::vector<double>{});
+  writer.put<std::int32_t>(7);
+  ju::ByteReader reader(std::move(writer).take());
+  EXPECT_TRUE(reader.get_vector<double>().empty());
+  EXPECT_EQ(reader.get<std::int32_t>(), 7);
+  EXPECT_TRUE(reader.exhausted());
+}
+
 TEST(ByteBuffer, UnderrunThrowsWireError) {
   ju::ByteWriter writer;
   writer.put<std::uint16_t>(1);

@@ -6,8 +6,12 @@ committed in the repository and fails when:
   * any vector path drifts from its scalar reference beyond the physics
     tolerance (lane reassociation explains ~1e-15; anything above 1e-12
     means the vector arithmetic no longer mirrors the scalar loop),
-  * the hermite j-block vector path stops beating its scalar tiled
-    reference by a real margin, or
+  * the hermite vector path differs from its scalar reference at all: its
+    i-lane tile runs the scalar operation order in every lane, so any
+    deviation means a reassociation or an FMA contraction crept in,
+  * the hermite vector tile (row name hermite_jblock, kept for the
+    trajectory) stops beating its scalar tiled reference by a real
+    margin, or
   * the sph/bhtree vector paths regress below parity (their SIMD share of
     the whole evolve is small, so they gate on non-regression, not on a
     large speedup).
@@ -23,6 +27,7 @@ import json
 import sys
 
 MAX_REL_DEV = 1e-12       # lane reassociation only; observed ~1e-15
+BIT_IDENTICAL = {"hermite_jblock"}  # max_rel_dev must be exactly 0
 SPEEDUP_FLOORS = {
     "hermite_jblock": 1.2,  # the SoA j-tile loop is the SIMD showcase
     "sph_density": 0.85,    # gather pass is a small share of evolve
@@ -52,7 +57,8 @@ def main():
         ref_speedup = ref_rows.get(name, {}).get("simd_speedup", float("nan"))
         speedup = row["simd_speedup"]
         dev = row["max_rel_dev"]
-        print(f"{name}: {speedup:.2f}x vs scalar (ref {ref_speedup:.2f}x, "
+        print(f"{name} ({row.get('isa', '?')} x{row.get('lanes', '?')}): "
+              f"{speedup:.2f}x vs scalar (ref {ref_speedup:.2f}x, "
               f"floor {floor}), dev={dev:.3g}")
         if speedup < floor:
             failures.append(
@@ -61,6 +67,10 @@ def main():
             failures.append(
                 f"{name} deviates from scalar reference: {dev:.3g} > "
                 f"{MAX_REL_DEV}")
+        if name in BIT_IDENTICAL and dev != 0:
+            failures.append(
+                f"{name} is not bit-identical to its scalar reference: "
+                f"dev {dev:.3g} != 0")
 
     if failures:
         for failure in failures:
