@@ -36,6 +36,7 @@ int SphSystem::add_particle(double mass, Vec3 position, Vec3 velocity,
   pending_u_.push_back(internal_energy);
   h_.push_back(0.1);
   rho_.push_back(1.0);
+  eos_current_ = false;
   return static_cast<int>(mass_.size()) - 1;
 }
 
@@ -69,9 +70,8 @@ double SphSystem::kernel_dw(double r, double h) const {
 void SphSystem::build_grid() {
   const std::size_t n = mass_.size();
   if (n == 0) return;
-  // Cell size is the largest support radius (2 h_max): any 2h_i density
-  // query then touches at most 3^3 cells, and the h_i + h_max force query
-  // at most 5^3 (usually 3^3 too).
+  // Cell size is the largest support radius (2 h_max) unless the extent cap
+  // below binds; neighbours() visits only the cells a query can reach.
   double h_max = 0.0;
   for (double h : h_) h_max = std::max(h_max, h);
   Vec3 lo = pos_[0], hi = pos_[0];
@@ -87,7 +87,7 @@ void SphSystem::build_grid() {
   // inflates) must not collapse the whole grid to one cell and turn every
   // query O(N): cap the cell at 1/8 of the largest extent, so the grid
   // keeps at least 8 cells per axis. Queries wider than a cell still see
-  // every neighbour via the span loop below.
+  // every neighbour: neighbours() spans as many cells as the radius needs.
   double max_extent =
       std::max({hi.x - lo.x, hi.y - lo.y, hi.z - lo.z, 8e-6});
   cell_size_ = std::max(1e-6, std::min(2.0 * h_max, max_extent / 8.0));
@@ -100,56 +100,99 @@ void SphSystem::build_grid() {
   // Counting sort into a CSR layout: one pass to count, one to place.
   std::size_t ncells = static_cast<std::size_t>(grid_dim_[0]) * grid_dim_[1] *
                        grid_dim_[2];
-  auto cell_of = [&](const Vec3& p) {
-    int cx = std::min(grid_dim_[0] - 1,
-                      std::max(0, static_cast<int>((p.x - lo.x) / cell_size_)));
-    int cy = std::min(grid_dim_[1] - 1,
-                      std::max(0, static_cast<int>((p.y - lo.y) / cell_size_)));
-    int cz = std::min(grid_dim_[2] - 1,
-                      std::max(0, static_cast<int>((p.z - lo.z) / cell_size_)));
-    return (static_cast<std::size_t>(cz) * grid_dim_[1] + cy) * grid_dim_[0] +
-           cx;
-  };
   cell_start_.assign(ncells + 1, 0);
-  for (const Vec3& p : pos_) ++cell_start_[cell_of(p) + 1];
+  for (const Vec3& p : pos_) ++cell_start_[grid_cell(p) + 1];
   for (std::size_t c = 0; c < ncells; ++c) cell_start_[c + 1] += cell_start_[c];
   cell_items_.resize(n);
+  cell_pos_.resize(n);
   std::vector<std::int32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
   for (int i = 0; i < static_cast<int>(n); ++i) {
-    cell_items_[cursor[cell_of(pos_[i])]++] = i;
+    std::int32_t slot = cursor[grid_cell(pos_[i])]++;
+    cell_items_[slot] = i;
+    cell_pos_[slot] = pos_[i];
   }
+}
+
+std::size_t SphSystem::grid_cell(const Vec3& p) const {
+  int cx = std::min(grid_dim_[0] - 1,
+                    std::max(0, static_cast<int>((p.x - grid_origin_.x) /
+                                                 cell_size_)));
+  int cy = std::min(grid_dim_[1] - 1,
+                    std::max(0, static_cast<int>((p.y - grid_origin_.y) /
+                                                 cell_size_)));
+  int cz = std::min(grid_dim_[2] - 1,
+                    std::max(0, static_cast<int>((p.z - grid_origin_.z) /
+                                                 cell_size_)));
+  return (static_cast<std::size_t>(cz) * grid_dim_[1] + cy) * grid_dim_[0] +
+         cx;
 }
 
 void SphSystem::neighbours(const Vec3& p, double radius,
                            std::vector<int>& out) const {
-  int span = static_cast<int>(radius / cell_size_) + 1;
-  int cx = static_cast<int>((p.x - grid_origin_.x) / cell_size_);
-  int cy = static_cast<int>((p.y - grid_origin_.y) / cell_size_);
-  int cz = static_cast<int>((p.z - grid_origin_.z) / cell_size_);
-  double r2 = radius * radius;
-  for (int z = std::max(0, cz - span);
-       z <= std::min(grid_dim_[2] - 1, cz + span); ++z) {
-    for (int y = std::max(0, cy - span);
-         y <= std::min(grid_dim_[1] - 1, cy + span); ++y) {
-      for (int x = std::max(0, cx - span);
-           x <= std::min(grid_dim_[0] - 1, cx + span); ++x) {
-        std::size_t cell =
+  // Work in cell units: u is the query's grid coordinate, as grid_cell()
+  // computes it. `reach` pads the radius by far more than the rounding of
+  // these divisions, so every bound below is conservative: a cell is
+  // skipped only if its box lies wholly beyond the radius. Edge cells are
+  // open-ended because build_grid() clamps outlying particles into them.
+  const double u[3] = {(p.x - grid_origin_.x) / cell_size_,
+                       (p.y - grid_origin_.y) / cell_size_,
+                       (p.z - grid_origin_.z) / cell_size_};
+  const double rc = radius / cell_size_;
+  const double reach =
+      rc + 1e-9 * (1.0 + rc +
+                   std::max({std::abs(u[0]), std::abs(u[1]), std::abs(u[2])}));
+  const double reach2 = reach * reach;
+  int first[3], last[3];
+  for (int d = 0; d < 3; ++d) {
+    const double top = grid_dim_[d] - 1;
+    first[d] =
+        static_cast<int>(std::clamp(std::floor(u[d] - reach), 0.0, top));
+    last[d] =
+        static_cast<int>(std::clamp(std::floor(u[d] + reach), 0.0, top));
+  }
+  // Distance from the query to cell c's slab along axis d (0 inside it).
+  auto gap = [&](int d, int c) {
+    double below = c > 0 ? c - u[d] : 0.0;
+    double above = c < grid_dim_[d] - 1 ? u[d] - (c + 1) : 0.0;
+    return std::max({0.0, below, above});
+  };
+  // Cells in ascending index order, particles in CSR (ascending index)
+  // order within a cell: the density and force sums depend on this order.
+  const double r2 = radius * radius;
+  std::size_t m = out.size();
+  for (int z = first[2]; z <= last[2]; ++z) {
+    const double gz = gap(2, z);
+    for (int y = first[1]; y <= last[1]; ++y) {
+      const double gy = gap(1, y);
+      const double gzy2 = gz * gz + gy * gy;
+      if (gzy2 > reach2) continue;
+      for (int x = first[0]; x <= last[0]; ++x) {
+        const double gx = gap(0, x);
+        if (gzy2 + gx * gx > reach2) continue;
+        const std::size_t cell =
             (static_cast<std::size_t>(z) * grid_dim_[1] + y) * grid_dim_[0] +
             x;
-        for (std::int32_t k = cell_start_[cell]; k < cell_start_[cell + 1];
-             ++k) {
-          int j = cell_items_[k];
-          if ((pos_[j] - p).norm2() <= r2) out.push_back(j);
+        const std::int32_t begin = cell_start_[cell];
+        const std::int32_t end = cell_start_[cell + 1];
+        if (out.size() < m + (end - begin)) out.resize(m + (end - begin));
+        int* dst = out.data();
+        // Branch-free append: always write, advance only on a hit.
+        for (std::int32_t k = begin; k < end; ++k) {
+          const double dx = cell_pos_[k].x - p.x;
+          const double dy = cell_pos_[k].y - p.y;
+          const double dz = cell_pos_[k].z - p.z;
+          dst[m] = cell_items_[k];
+          m += dx * dx + dy * dy + dz * dz <= r2;
         }
       }
     }
   }
+  out.resize(m);
 }
 
 std::vector<int> SphSystem::neighbours_of(int i, double radius) const {
   std::vector<int> found;
   neighbours(pos_.at(i), radius, found);
-  std::sort(found.begin(), found.end());
   return found;
 }
 
@@ -159,6 +202,7 @@ util::ThreadPool& SphSystem::resolve_pool() const {
 
 void SphSystem::prepare_step() {
   ++substeps_;
+  eos_current_ = false;
   build_grid();
   if (params_.self_gravity) {
     tree_ = BarnesHutTree(params_.theta, params_.eps2);
@@ -170,10 +214,29 @@ void SphSystem::prepare_step() {
 void SphSystem::density_at(std::size_t i, std::vector<int>& scratch,
                            std::uint64_t& ngb) {
   // Fixed-point iteration coupling h and rho: h = eta (m/rho)^{1/3}.
+  double searched = 0.0;
   for (int iteration = 0; iteration < 2; ++iteration) {
     double rho = 0.0;
-    scratch.clear();
-    neighbours(pos_[i], 2.0 * h_[i], scratch);
+    const double radius = 2.0 * h_[i];
+    if (iteration > 0 && radius <= searched) {
+      // The support shrank: the new list is the old one minus the particles
+      // beyond the new radius, in the same order. Filter with the search's
+      // own test instead of searching again.
+      const double r2 = radius * radius;
+      std::size_t kept = 0;
+      for (int j : scratch) {
+        const double dx = pos_[j].x - pos_[i].x;
+        const double dy = pos_[j].y - pos_[i].y;
+        const double dz = pos_[j].z - pos_[i].z;
+        scratch[kept] = j;
+        kept += dx * dx + dy * dy + dz * dz <= r2;
+      }
+      scratch.resize(kept);
+    } else {
+      scratch.clear();
+      neighbours(pos_[i], radius, scratch);
+      searched = radius;
+    }
     ngb += scratch.size();
     const std::size_t m = scratch.size();
     std::size_t k = 0;
@@ -246,6 +309,7 @@ void SphSystem::density_at(std::size_t i, std::vector<int>& scratch,
 }
 
 void SphSystem::compute_density(std::size_t lo, std::size_t hi) {
+  eos_current_ = false;
   util::ThreadPool& pool = resolve_pool();
   util::PerLane<std::vector<int>> scratch(pool);
   util::PerLane<std::uint64_t> counts(pool, 0);
@@ -304,13 +368,13 @@ void SphSystem::force_at(std::size_t i, double h_max,
   acc_[i] = accel;
 }
 
-void SphSystem::compute_forces(std::size_t lo, std::size_t hi) {
-  double h_max = 0.0;
-  for (double h : h_) h_max = std::max(h_max, h);
+void SphSystem::update_eos() {
+  if (eos_current_) return;
   // Hoist pressure and sound speed out of the pair loop: they depend only
   // on per-particle entropy/density, which are fixed for the whole force
   // pass, and the pow() per pair dominated the non-neighbour-search cost.
-  // Full-range fill — the pair rule reaches neighbours outside [lo, hi).
+  // Full-range fill — the pair rule reaches neighbours outside [lo, hi) —
+  // done once per substep however many slices the passes are split into.
   const double gamma = params_.gamma;
   const std::size_t n = mass_.size();
   pressure_.resize(n);
@@ -319,6 +383,13 @@ void SphSystem::compute_forces(std::size_t lo, std::size_t hi) {
     pressure_[j] = entropy_[j] * std::pow(rho_[j], gamma);
     csound_[j] = std::sqrt(gamma * pressure_[j] / rho_[j]);
   }
+  eos_current_ = true;
+}
+
+void SphSystem::compute_forces(std::size_t lo, std::size_t hi) {
+  double h_max = 0.0;
+  for (double h : h_) h_max = std::max(h_max, h);
+  update_eos();
   util::ThreadPool& pool = resolve_pool();
   util::PerLane<std::vector<int>> scratch(pool);
   util::PerLane<std::uint64_t> ngb(pool, 0);
@@ -334,12 +405,11 @@ void SphSystem::compute_forces(std::size_t lo, std::size_t hi) {
   tree.for_each([&](std::uint64_t c) { tree_count_ += c; });
 }
 
-double SphSystem::timestep(std::size_t lo, std::size_t hi) const {
+double SphSystem::timestep(std::size_t lo, std::size_t hi) {
+  update_eos();
   double dt = params_.dt_max;
-  const double gamma = params_.gamma;
   for (std::size_t i = lo; i < hi; ++i) {
-    double p_i = entropy_[i] * std::pow(rho_[i], gamma);
-    double c_i = std::sqrt(gamma * p_i / rho_[i]);
+    double c_i = csound_[i];
     double v = vel_[i].norm();
     dt = std::min(dt, params_.cfl * h_[i] / (c_i + v + 1e-12));
     double a = acc_[i].norm();
@@ -372,6 +442,7 @@ void SphSystem::evolve(double t_end) {
 }
 
 void SphSystem::inject_energy(int index, double delta_internal_energy) {
+  eos_current_ = false;
   if (pending_u_.at(index) >= 0.0) {
     // Density not known yet: fold into the pending internal energy so the
     // first density pass converts the sum consistently.

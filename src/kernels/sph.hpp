@@ -56,7 +56,7 @@ class SphSystem {
   void compute_forces(std::size_t lo, std::size_t hi);
   /// Global timestep from the CFL criterion over [lo, hi) (min-reduce the
   /// per-rank results before integrate()).
-  double timestep(std::size_t lo, std::size_t hi) const;
+  double timestep(std::size_t lo, std::size_t hi);
   /// Kick-drift positions/velocities for [lo, hi).
   void integrate(std::size_t lo, std::size_t hi, double dt);
   void advance_time(double dt) { time_ += dt; }
@@ -102,10 +102,15 @@ class SphSystem {
   }
   bool simd_enabled() const noexcept { return simd_; }
 
-  /// Neighbour indices of particle `i` within `radius`, sorted ascending.
-  /// Requires prepare_step() to have built the grid for current positions.
-  /// Test/diagnostic helper — the hot paths use the buffer-reusing search.
+  /// Neighbour indices of particle `i` within `radius`, in search order:
+  /// ascending grid cell, then ascending index within a cell — the order the
+  /// density and force passes sum in. Requires prepare_step() to have built
+  /// the grid for current positions. Test/diagnostic helper — the hot paths
+  /// use the buffer-reusing search.
   std::vector<int> neighbours_of(int i, double radius) const;
+  /// Grid cell the last prepare_step() files a particle at `p` under
+  /// (clamped into the grid, so points beyond it land in an edge cell).
+  std::size_t grid_cell(const Vec3& p) const;
 
   /// Neighbour-pair and tree interaction counts (cost model input).
   std::uint64_t neighbour_interactions() const noexcept { return ngb_count_; }
@@ -123,7 +128,9 @@ class SphSystem {
   void neighbours(const Vec3& p, double radius, std::vector<int>& out) const;
   void build_grid();
   void density_at(std::size_t i, std::vector<int>& scratch,
-                  std::uint64_t& ngb) ;
+                  std::uint64_t& ngb);
+  /// Fill pressure_/csound_ unless they are already current.
+  void update_eos();
   void force_at(std::size_t i, double h_max, std::vector<int>& scratch,
                 std::uint64_t& ngb, std::uint64_t& tree);
   util::ThreadPool& resolve_pool() const;
@@ -135,21 +142,25 @@ class SphSystem {
   std::vector<double> entropy_;  // A in P = A rho^gamma
   std::vector<double> pending_u_;  // u awaiting first density (-1 = done)
   std::vector<double> h_, rho_;
-  // Per-pass caches: pressure and sound speed from the entropy formulation,
-  // computed once per compute_forces call instead of pow()-per-pair.
+  // Pressure and sound speed from the entropy formulation, filled once per
+  // substep by the first compute_forces()/timestep() call instead of
+  // pow()-per-pair. Anything that changes rho or entropy marks them stale.
   std::vector<double> pressure_, csound_;
+  bool eos_current_ = false;
   BarnesHutTree tree_;
   bool simd_ = true;
   util::ThreadPool* pool_ = nullptr;
 
   // Uniform hash grid for neighbour search, CSR layout: the particles of
-  // cell c are cell_items_[cell_start_[c] .. cell_start_[c+1]). Cell size
-  // is 2 * max(h) so a 2h support touches at most 3^3 cells.
+  // cell c are cell_items_[cell_start_[c] .. cell_start_[c+1]), and
+  // cell_pos_ holds their positions in the same order so the scan reads
+  // contiguous memory. Cell size is min(2 * max(h), extent / 8).
   double cell_size_ = 0.0;
   Vec3 grid_origin_{};
   int grid_dim_[3] = {0, 0, 0};
   std::vector<std::int32_t> cell_start_;
   std::vector<std::int32_t> cell_items_;
+  std::vector<Vec3> cell_pos_;
 
   std::uint64_t ngb_count_ = 0;
   std::uint64_t tree_count_ = 0;

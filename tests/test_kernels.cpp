@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -589,23 +591,284 @@ TEST(Sph, TimestepRespectsCfl) {
   EXPECT_LE(dt, sph.params().dt_max);
 }
 
-TEST(Sph, GridNeighboursMatchBruteForce) {
-  auto sph = make_gas_ball(800);
-  sph.prepare_step();
-  // Also exercise a radius larger than one grid cell (span > 1).
-  for (double radius : {0.08, 0.25, 0.9}) {
-    for (int i = 0; i < static_cast<int>(sph.size()); i += 37) {
-      auto grid = sph.neighbours_of(i, radius);
-      std::vector<int> brute;
-      for (int j = 0; j < static_cast<int>(sph.size()); ++j) {
-        if ((sph.positions()[j] - sph.positions()[i]).norm2() <=
-            radius * radius) {
-          brute.push_back(j);
-        }
-      }
-      ASSERT_EQ(grid, brute) << "particle " << i << " radius " << radius;
+namespace {
+// Brute-force neighbour list in the order the grid search must return it:
+// ascending grid cell, then ascending index, with the search's distance test.
+std::vector<int> brute_neighbours(const SphSystem& sph, const Vec3& p,
+                                  double radius) {
+  std::vector<std::pair<std::size_t, int>> keyed;
+  for (int j = 0; j < static_cast<int>(sph.size()); ++j) {
+    if ((sph.positions()[j] - p).norm2() <= radius * radius) {
+      keyed.push_back({sph.grid_cell(sph.positions()[j]), j});
     }
   }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<int> out;
+  for (const auto& entry : keyed) out.push_back(entry.second);
+  return out;
+}
+
+// Compares neighbours_of() with brute force, order included, for each
+// query particle and radius. Returns how many lists were not in ascending
+// index order, so callers can check the order comparison had teeth.
+int expect_grid_matches_brute(const SphSystem& sph,
+                              const std::vector<int>& queries,
+                              const std::vector<double>& radii) {
+  int reordered = 0;
+  for (double radius : radii) {
+    for (int i : queries) {
+      auto grid = sph.neighbours_of(i, radius);
+      EXPECT_EQ(grid, brute_neighbours(sph, sph.positions()[i], radius))
+          << "particle " << i << " radius " << radius;
+      if (!std::is_sorted(grid.begin(), grid.end())) ++reordered;
+    }
+  }
+  return reordered;
+}
+
+// Gas on a cubic lattice of `side`^3 sites, `spacing` apart from the origin.
+SphSystem make_gas_lattice(int side, double spacing) {
+  SphSystem sph;
+  for (int z = 0; z < side; ++z) {
+    for (int y = 0; y < side; ++y) {
+      for (int x = 0; x < side; ++x) {
+        sph.add_particle(1e-3, {x * spacing, y * spacing, z * spacing}, {},
+                         0.05);
+      }
+    }
+  }
+  return sph;
+}
+
+// Lattice sites whose coordinates each come from `picks`: with even picks on
+// cell faces, this mixes face, edge, corner and interior queries.
+std::vector<int> lattice_queries(int side, const std::vector<int>& picks) {
+  std::vector<int> out;
+  for (int z : picks) {
+    for (int y : picks) {
+      for (int x : picks) out.push_back((z * side + y) * side + x);
+    }
+  }
+  return out;
+}
+
+double cubic_spline(double r, double h) {
+  double q = r / h;
+  double sigma = 1.0 / (M_PI * h * h * h);
+  if (q < 1.0) return sigma * (1.0 - 1.5 * q * q + 0.75 * q * q * q);
+  if (q < 2.0) return sigma * 0.25 * (2.0 - q) * (2.0 - q) * (2.0 - q);
+  return 0.0;
+}
+}  // namespace
+
+TEST(Sph, GridNeighboursMatchBruteForce) {
+  int reordered = 0;
+  {
+    auto sph = make_gas_ball(800);
+    sph.prepare_step();
+    std::vector<int> queries;
+    for (int i = 0; i < static_cast<int>(sph.size()); i += 37) {
+      queries.push_back(i);
+    }
+    // Also exercise a radius larger than one grid cell (span > 1).
+    reordered += expect_grid_matches_brute(sph, queries, {0.08, 0.25, 0.9});
+
+    // The radii the passes use, on a grid built from evolved h.
+    sph.compute_density(0, sph.size());
+    sph.prepare_step();
+    double h_max = *std::max_element(sph.smoothing().begin(),
+                                     sph.smoothing().end());
+    for (int i : queries) {
+      for (double radius : {2.0 * sph.smoothing()[i],
+                            sph.smoothing()[i] + h_max}) {
+        EXPECT_EQ(sph.neighbours_of(i, radius),
+                  brute_neighbours(sph, sph.positions()[i], radius))
+            << "particle " << i << " radius " << radius;
+      }
+    }
+  }
+  {
+    // Sites 1/16 apart on [0,1]^3: h = 0.1 would ask for 0.2 cells, so the
+    // extent/8 cap binds at exactly 0.125 and every even site lies exactly
+    // on a cell face (edges and corners where two or three coincide). The
+    // support 2h = 0.2 then spans two cells per side; 1/16 hits neighbours
+    // at exactly the radius.
+    const int side = 17;
+    auto sph = make_gas_lattice(side, 1.0 / 16.0);
+    sph.prepare_step();
+    reordered += expect_grid_matches_brute(
+        sph, lattice_queries(side, {0, 1, 2, 5, 8, 15, 16}),
+        {1.0 / 16.0, 0.125, 0.2, 0.3});
+  }
+  {
+    // Sites 0.1 apart: faces at multiples of 0.2 are hit only up to the
+    // rounding of the cell division, so sites fall on either side of them.
+    const int side = 17;
+    auto sph = make_gas_lattice(side, 0.1);
+    sph.prepare_step();
+    reordered += expect_grid_matches_brute(
+        sph, lattice_queries(side, {0, 1, 2, 7, 8, 15, 16}), {0.1, 0.2, 0.35});
+  }
+  // Cell order differs from index order for most lists, so the exact
+  // comparisons above also pin the order the density and force sums use.
+  EXPECT_GT(reordered, 100);
+}
+
+TEST(Sph, NeighboursBeyondGridCapAreFound) {
+  // Two particles 0.05 apart at x = 100 beside a unit ball: 0.2-wide cells
+  // would need ~500 cells along x, the grid stops at 128, and build_grid()
+  // clamps the pair into the last cell. The search must look there too.
+  auto sph = make_gas_ball(200);
+  int a = sph.add_particle(1e-3, {100.0, 0.0, 0.0}, {}, 0.05);
+  int b = sph.add_particle(1e-3, {100.05, 0.0, 0.0}, {}, 0.05);
+  sph.prepare_step();
+  EXPECT_EQ(sph.neighbours_of(a, 0.2), (std::vector<int>{a, b}));
+  EXPECT_EQ(sph.neighbours_of(b, 0.2), (std::vector<int>{a, b}));
+  EXPECT_EQ(sph.neighbours_of(a, 0.01), (std::vector<int>{a}));
+  // A radius reaching back into the ball's cells.
+  EXPECT_EQ(sph.neighbours_of(a, 99.5),
+            brute_neighbours(sph, sph.positions()[a], 99.5));
+}
+
+TEST(Sph, DensityListReuseMatchesFreshSearch) {
+  // The density pass runs two fixed-point passes; when the support shrinks
+  // the second pass filters the first list instead of searching again. A
+  // dense clump (h shrinks from its initial 0.1) and a sparse one (h grows)
+  // cover both branches. Recompute the first pass by brute force, then
+  // check the second pass's density and the neighbour count of both passes.
+  SphSystem sph;
+  util::Rng rng(5);
+  auto dense = amuse::ic::gas_sphere(300, rng, 0.3, 0.15, 0.05);
+  auto sparse = amuse::ic::gas_sphere(300, rng, 0.3, 2.0, 0.05);
+  for (std::size_t i = 0; i < dense.mass.size(); ++i) {
+    sph.add_particle(dense.mass[i], dense.position[i], {}, 0.05);
+  }
+  for (std::size_t i = 0; i < sparse.mass.size(); ++i) {
+    sph.add_particle(sparse.mass[i], sparse.position[i] + Vec3{4.0, 0, 0},
+                     {}, 0.05);
+  }
+  const double h0 = sph.smoothing()[0];
+  sph.prepare_step();
+  sph.compute_density(0, sph.size());
+
+  const auto& pos = sph.positions();
+  const auto& mass = sph.masses();
+  auto within = [&](std::size_t i, double radius) {
+    std::uint64_t count = 0;
+    for (std::size_t j = 0; j < sph.size(); ++j) {
+      count += (pos[j] - pos[i]).norm2() <= radius * radius;
+    }
+    return count;
+  };
+  int shrank = 0, grew = 0;
+  std::uint64_t count_lo = 0, count_hi = 0;
+  for (std::size_t i = 0; i < sph.size(); ++i) {
+    double rho1 = 0.0;
+    for (std::size_t j = 0; j < sph.size(); ++j) {
+      rho1 += mass[j] * cubic_spline((pos[j] - pos[i]).norm(), h0);
+    }
+    double h1 = sph.params().eta_h * std::cbrt(mass[i] / std::max(rho1, 1e-12));
+    (h1 < h0 ? shrank : grew) += 1;
+    double rho2 = 0.0;
+    for (std::size_t j = 0; j < sph.size(); ++j) {
+      rho2 += mass[j] * cubic_spline((pos[j] - pos[i]).norm(), h1);
+    }
+    EXPECT_NEAR(sph.densities()[i], rho2, 1e-9 * rho2) << i;
+    // h1 is known here only to rounding: bracket the second list's length.
+    std::uint64_t first = within(i, 2.0 * h0);
+    count_lo += first + within(i, 2.0 * h1 * (1.0 - 1e-9));
+    count_hi += first + within(i, 2.0 * h1 * (1.0 + 1e-9));
+  }
+  EXPECT_GT(shrank, 100);
+  EXPECT_GT(grew, 100);
+  EXPECT_GE(sph.neighbour_interactions(), count_lo);
+  EXPECT_LE(sph.neighbour_interactions(), count_hi);
+}
+
+TEST(Sph, SlicedStepsMatchSerialEvolve) {
+  // ParallelSph's phase sequence: one prepare_step() per substep, then 8
+  // rank slices each run density, forces and a timestep that is
+  // min-reduced before every slice integrates. It must reproduce serial
+  // evolve() bit for bit.
+  const double t_end = 0.05;
+  auto serial = make_gas_ball(600, /*u=*/0.05, /*gravity=*/true);
+  serial.evolve(t_end);
+
+  auto sliced = make_gas_ball(600, /*u=*/0.05, /*gravity=*/true);
+  const std::size_t n = sliced.size(), ranks = 8;
+  const std::size_t per = (n + ranks - 1) / ranks;
+  auto lo = [&](std::size_t r) { return std::min(n, per * r); };
+  auto hi = [&](std::size_t r) { return std::min(n, per * r + per); };
+  double t = sliced.time();
+  while (t < t_end - 1e-15) {
+    sliced.prepare_step();
+    for (std::size_t r = 0; r < ranks; ++r) {
+      sliced.compute_density(lo(r), hi(r));
+    }
+    double dt = std::numeric_limits<double>::infinity();
+    for (std::size_t r = 0; r < ranks; ++r) {
+      sliced.compute_forces(lo(r), hi(r));
+      dt = std::min(dt, sliced.timestep(lo(r), hi(r)));
+    }
+    dt = std::min(dt, t_end - t);
+    for (std::size_t r = 0; r < ranks; ++r) {
+      sliced.integrate(lo(r), hi(r), dt);
+    }
+    t += dt;
+    sliced.advance_time(dt);
+  }
+  sliced.advance_time(t_end - sliced.time());
+
+  EXPECT_EQ(sliced.time(), serial.time());
+  EXPECT_EQ(sliced.substeps(), serial.substeps());
+  EXPECT_GT(serial.substeps(), 1u);
+  EXPECT_EQ(sliced.neighbour_interactions(), serial.neighbour_interactions());
+  EXPECT_EQ(sliced.tree_interactions(), serial.tree_interactions());
+  auto same_bytes = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       a.size() * sizeof(a.front())) == 0;
+  };
+  EXPECT_TRUE(same_bytes(sliced.positions(), serial.positions()));
+  EXPECT_TRUE(same_bytes(sliced.velocities(), serial.velocities()));
+  EXPECT_TRUE(same_bytes(sliced.densities(), serial.densities()));
+  EXPECT_TRUE(same_bytes(sliced.smoothing(), serial.smoothing()));
+}
+
+TEST(Sph, SoundSpeedCacheFollowsStateChanges) {
+  // compute_forces() and timestep() share a pressure/sound-speed cache
+  // filled once per substep. `warm` fills it before a second density pass;
+  // `cold` never had it filled. Both then hold the same state, so every
+  // per-particle timestep must agree bit for bit. The gas is hot enough
+  // that the CFL term, not dt_max, sets every timestep.
+  auto warm = make_gas_ball(300, /*u=*/500.0);
+  auto cold = make_gas_ball(300, /*u=*/500.0);
+  const std::size_t n = warm.size();
+  warm.prepare_step();
+  warm.compute_density(0, n);
+  warm.compute_forces(0, n);
+  (void)warm.timestep(0, n);
+  cold.prepare_step();
+  cold.compute_density(0, n);
+  for (SphSystem* sph : {&warm, &cold}) {
+    sph->prepare_step();
+    sph->compute_density(0, n);
+    sph->compute_forces(0, n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_LT(cold.timestep(i, i + 1), cold.params().dt_max) << i;
+    ASSERT_EQ(warm.timestep(i, i + 1), cold.timestep(i, i + 1)) << i;
+  }
+
+  // Heating a particle after the force pass must not leave it stale.
+  warm.inject_energy(7, 5000.0);
+  const double gamma = warm.params().gamma;
+  const double u = warm.internal_energies()[7];
+  const double c = std::sqrt(gamma * (gamma - 1.0) * u);
+  const double cfl_dt = warm.params().cfl * warm.smoothing()[7] /
+                        (c + warm.velocities()[7].norm() + 1e-12);
+  EXPECT_LE(warm.timestep(7, 8), cfl_dt * (1.0 + 1e-12));
+  EXPECT_LT(warm.timestep(7, 8), cold.timestep(7, 8));
 }
 
 TEST(Sph, ResultsIndependentOfThreadCount) {
