@@ -159,13 +159,13 @@ void Kernel_CpuVsGpuCostModel(benchmark::State& state) {
 // Each kernel runs the identical physics twice — set_simd(true) and
 // set_simd(false) — from the same ICs. Wall time is best-of-reps (robust
 // against scheduler noise); the deviation is the max relative state
-// difference, which only lane reassociation can produce — the Hermite
-// i-lane tile runs the scalar order in every lane, so its deviation is 0.
-// The hermite sweep needs a 2-lane pool: a 1-lane pool routes to the
-// sequential symmetric path, which is always scalar by design (it is the
-// bit-exactness reference) — set_simd only affects the tiled path. The
-// tiled path's source order is fixed per row regardless of lane count, so
-// the scalar/simd comparison stays deterministic.
+// difference, which only lane reassociation can produce — both Hermite
+// vector kernels run the scalar order in every lane, so their deviation
+// is 0. Hermite has two rows, one per force path: hermite_jblock runs on a
+// 2-lane pool, which engages the tiled path at N = 1024 (its source order
+// is fixed per row regardless of lane count, so the comparison stays
+// deterministic); hermite_symmetric runs the fault-sweep's 128-body model
+// on a 1-lane pool, the sequential symmetric path.
 
 struct SimdRow {
   std::string name;
@@ -201,10 +201,11 @@ double best_of_ms(Run run, int reps = 3) {
   return best;
 }
 
-SimdRow sweep_hermite(std::size_t n) {
+SimdRow sweep_hermite(const char* name, std::size_t n, unsigned lanes,
+                      double t_end) {
   util::Rng rng(21);
   auto model = amuse::ic::plummer_sphere(n, rng);
-  util::ThreadPool pool(2);  // >1 lane: engage the tiled (vectorizable) path
+  util::ThreadPool pool(lanes);
   auto evolve = [&](bool simd, std::vector<Vec3>* out) {
     HermiteIntegrator nbody;
     nbody.set_thread_pool(&pool);
@@ -213,7 +214,7 @@ SimdRow sweep_hermite(std::size_t n) {
       nbody.add_particle(model.mass[i], model.position[i],
                          model.velocity[i]);
     }
-    nbody.evolve(1.0 / 64.0);
+    nbody.evolve(t_end);
     if (out) *out = nbody.positions();
   };
   std::vector<Vec3> scalar_pos, simd_pos;
@@ -222,7 +223,7 @@ SimdRow sweep_hermite(std::size_t n) {
   double scalar_ms = best_of_ms([&] { evolve(false, nullptr); });
   double simd_ms = best_of_ms([&] { evolve(true, nullptr); });
   const hermite_tile::Tile& tile = hermite_tile::dispatched();
-  return {"hermite_jblock", tile.isa, tile.lanes, scalar_ms, simd_ms,
+  return {name, tile.isa, tile.lanes, scalar_ms, simd_ms,
           scalar_ms / simd_ms, rel_dev(simd_pos, scalar_pos)};
 }
 
@@ -282,13 +283,14 @@ class KernelsReporter : public benchmark::ConsoleReporter {
  public:
   void Finalize() override {
     std::vector<SimdRow> rows;
-    rows.push_back(sweep_hermite(1024));
+    rows.push_back(sweep_hermite("hermite_jblock", 1024, 2, 1.0 / 64.0));
+    rows.push_back(sweep_hermite("hermite_symmetric", 128, 1, 0.25));
     rows.push_back(sweep_sph(4000));
     rows.push_back(sweep_bhtree(8192));
 
     std::printf("\n=== SIMD vs scalar reference ===\n");
     for (const SimdRow& row : rows) {
-      std::printf("  %-16s %-6s x%zu  scalar=%8.3f ms  simd=%8.3f ms  "
+      std::printf("  %-17s %-6s x%zu  scalar=%8.3f ms  simd=%8.3f ms  "
                   "%.2fx  dev=%.3g\n",
                   row.name.c_str(), row.isa.c_str(), row.lanes, row.scalar_ms,
                   row.simd_ms, row.speedup, row.max_rel_dev);

@@ -20,6 +20,29 @@ int HermiteIntegrator::add_particle(double mass, Vec3 position, Vec3 velocity) {
   return static_cast<int>(mass_.size()) - 1;
 }
 
+hermite_tile::Sources HermiteIntegrator::load_sources(
+    const std::vector<Vec3>& positions, const std::vector<Vec3>& velocities) {
+  const std::size_t n = mass_.size();
+  for (auto* column : {&sx_, &sy_, &sz_, &svx_, &svy_, &svz_}) {
+    column->resize(n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    sx_[i] = positions[i].x;
+    sy_[i] = positions[i].y;
+    sz_[i] = positions[i].z;
+    svx_[i] = velocities[i].x;
+    svy_[i] = velocities[i].y;
+    svz_[i] = velocities[i].z;
+  }
+  return {sx_.data(),  sy_.data(),   sz_.data(), svx_.data(), svy_.data(),
+          svz_.data(), mass_.data(), n,          params_.eps2};
+}
+
+// The scalar symmetric loop below is the bit-exactness reference of the
+// vector kernels in hermite_tile.cpp, so it must round like them: no a*b + c
+// contracted into an FMA, even when the build flags enable FMA.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
 void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
                                        const std::vector<Vec3>& velocities,
                                        std::vector<Vec3>& acc,
@@ -32,8 +55,23 @@ void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
   const bool partial = rlo > 0 || rhi < n;
   util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
   if (!partial && (n < kParallelThreshold || pool.lanes() == 1)) {
+    pairs_ += static_cast<std::uint64_t>(n) * (n - 1) / 2 * 2;  // i-j and j-i
+    if (simd_) {
+      // The dispatched symmetric kernel: the loop below, W rows per vector,
+      // bit for bit (see hermite_tile.hpp).
+      const hermite_tile::Sources sources = load_sources(positions, velocities);
+      for (auto* row : {&ax_, &ay_, &az_, &jx_, &jy_, &jz_}) row->resize(n);
+      hermite_tile::dispatched().symmetric(
+          sources, {ax_.data(), ay_.data(), az_.data(), jx_.data(),
+                    jy_.data(), jz_.data()});
+      for (std::size_t i = 0; i < n; ++i) {
+        acc[i] = {ax_[i], ay_[i], az_[i]};
+        jerk[i] = {jx_[i], jy_[i], jz_[i]};
+      }
+      return;
+    }
     // Sequential path: Newton's-third-law symmetric update, half the work.
-    // Always scalar — this is the bit-exactness reference.
+    // The scalar reference (set_simd(false)) of the symmetric kernels.
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
         Vec3 dr = positions[j] - positions[i];
@@ -52,7 +90,6 @@ void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
         jerk[j] -= mass_[i] * jpart;
       }
     }
-    pairs_ += static_cast<std::uint64_t>(n) * (n - 1) / 2 * 2;  // i-j and j-i
     return;
   }
 
@@ -62,23 +99,7 @@ void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
   // 0..n-1 whatever the lane count or the tile's ISA, so results are
   // independent of both. A sharded integrator restricts the rows to its
   // owned range; the sources always span the full system.
-  sx_.resize(n);
-  sy_.resize(n);
-  sz_.resize(n);
-  svx_.resize(n);
-  svy_.resize(n);
-  svz_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sx_[i] = positions[i].x;
-    sy_[i] = positions[i].y;
-    sz_[i] = positions[i].z;
-    svx_[i] = velocities[i].x;
-    svy_[i] = velocities[i].y;
-    svz_[i] = velocities[i].z;
-  }
-  const hermite_tile::Sources sources{sx_.data(),  sy_.data(),  sz_.data(),
-                                      svx_.data(), svy_.data(), svz_.data(),
-                                      mass_.data(), n,          params_.eps2};
+  const hermite_tile::Sources sources = load_sources(positions, velocities);
   const hermite_tile::TileFn tile =
       simd_ ? hermite_tile::dispatched().run : hermite_tile::scalar().run;
   pool.parallel_for(rlo, rhi, hermite_tile::kIBlock,
@@ -87,6 +108,7 @@ void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
                     });
   pairs_ += static_cast<std::uint64_t>(rhi - rlo) * (n - 1);
 }
+#pragma GCC pop_options
 
 double HermiteIntegrator::shared_timestep() const {
   // Sharded integrators derive the step from their owned rows only (ghost

@@ -11,6 +11,10 @@ class ThreadPool;
 
 namespace jungle::kernels {
 
+namespace hermite_tile {
+struct Sources;
+}
+
 /// Direct-summation gravitational N-body integrator, the phiGRAPE analog
 /// (Harfst et al. 2006): 4th-order Hermite predictor-corrector with a
 /// shared adaptive timestep and Plummer softening. Works in N-body units
@@ -75,18 +79,20 @@ class HermiteIntegrator {
   Params& params() noexcept { return params_; }
 
   /// Pool for the parallel force path; nullptr (default) uses
-  /// util::ThreadPool::global(). Systems below kParallelThreshold bodies
-  /// (or a 1-lane pool) take the sequential symmetric-update path.
+  /// util::ThreadPool::global(). Unsharded systems below kParallelThreshold
+  /// bodies (or on a 1-lane pool) take the sequential symmetric-update path,
+  /// vectorized like the tiled one unless set_simd(false).
   void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
   static constexpr std::size_t kParallelThreshold = 256;
 
-  /// Vector tile in the tiled force path: each lane carries its own target
+  /// Vector kernels in both force paths: each lane carries its own target
   /// row (the i-lane layout), at the widest width the CPU supports, chosen
   /// once at run time (AVX2 on x86-64 where available, else the build's
-  /// SSE2/NEON baseline). Every lane runs the scalar loop's operation order,
-  /// so on and off give bit-identical forces; off runs the scalar loop, the
-  /// reference the vector tile is tested and benched against. Ignored by
-  /// the sequential symmetric path, which is always scalar.
+  /// SSE2/NEON baseline). Every lane runs the scalar loop's operation order
+  /// — in the sequential symmetric path the mirrored half of each pair is
+  /// transposed so that source rows, too, sum in the scalar order — so on
+  /// and off give bit-identical forces; off runs the scalar loops, the
+  /// references the vector kernels are tested and benched against.
   void set_simd(bool enabled) noexcept { simd_ = enabled; }
   bool simd_enabled() const noexcept { return simd_; }
 
@@ -139,6 +145,9 @@ class HermiteIntegrator {
   std::uint64_t substeps() const noexcept { return substeps_; }
 
  private:
+  // Fills the SoA source columns from AoS state.
+  hermite_tile::Sources load_sources(const std::vector<Vec3>& positions,
+                                     const std::vector<Vec3>& velocities);
   void compute_forces(const std::vector<Vec3>& positions,
                       const std::vector<Vec3>& velocities,
                       std::vector<Vec3>& acc, std::vector<Vec3>& jerk);
@@ -155,8 +164,10 @@ class HermiteIntegrator {
   std::uint64_t pairs_ = 0;
   std::uint64_t substeps_ = 0;
   util::ThreadPool* pool_ = nullptr;
-  // SoA scratch for the tiled parallel force path, reused across steps.
+  // SoA scratch reused across steps: the sources of both vector force
+  // paths, and the symmetric kernel's per-row sums.
   std::vector<double> sx_, sy_, sz_, svx_, svy_, svz_;
+  std::vector<double> ax_, ay_, az_, jx_, jy_, jz_;
 };
 
 }  // namespace jungle::kernels

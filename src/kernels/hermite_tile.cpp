@@ -219,22 +219,223 @@ __attribute__((target("avx2"))) void avx2_tile(const Sources& s,
 }
 #endif
 
+// ---- the symmetric path: each pair once, mirrored into both rows ----
+
+// Pair (i, k), i < k, exactly as HermiteIntegrator's sequential loop writes
+// it: added to row i, subtracted from row k.
+[[gnu::always_inline]] inline void scalar_pair(const Sources& s,
+                                               const Sums& out, std::size_t i,
+                                               std::size_t k) {
+  double dx = s.x[k] - s.x[i];
+  double dy = s.y[k] - s.y[i];
+  double dz = s.z[k] - s.z[i];
+  double dvx = s.vx[k] - s.vx[i];
+  double dvy = s.vy[k] - s.vy[i];
+  double dvz = s.vz[k] - s.vz[i];
+  double r2 = dx * dx + dy * dy + dz * dz + s.eps2;
+  double r = std::sqrt(r2);
+  double r3 = r2 * r;
+  double rv = dx * dvx + dy * dvy + dz * dvz;
+  double inv_r3 = 1.0 / r3;
+  double alpha = 3.0 * rv / r2;
+  double jpx = (dvx - alpha * dx) * inv_r3;
+  double jpy = (dvy - alpha * dy) * inv_r3;
+  double jpz = (dvz - alpha * dz) * inv_r3;
+  double mk_r3 = s.m[k] * inv_r3;
+  out.ax[i] += mk_r3 * dx;
+  out.ay[i] += mk_r3 * dy;
+  out.az[i] += mk_r3 * dz;
+  out.jx[i] += s.m[k] * jpx;
+  out.jy[i] += s.m[k] * jpy;
+  out.jz[i] += s.m[k] * jpz;
+  double mi_r3 = s.m[i] * inv_r3;
+  out.ax[k] -= mi_r3 * dx;
+  out.ay[k] -= mi_r3 * dy;
+  out.az[k] -= mi_r3 * dz;
+  out.jx[k] -= s.m[i] * jpx;
+  out.jy[k] -= s.m[i] * jpy;
+  out.jz[k] -= s.m[i] * jpz;
+}
+
+// W consecutive rows i0.. in lanes, paired with the sources j >= i0 + W.
+// Lane l's sums continue row i0 + l's chain in ascending j; the lane terms
+// for row j are the mirrored half, which row j must subtract in lane order
+// (its chain is ascending in i). Members are always_inline for the same
+// reason as RowGroup's.
+template <class Isa>
+struct MirrorGroup {
+  using V = typename Isa::VecD;
+  static constexpr std::size_t W = Isa::kWidth;
+
+  [[gnu::always_inline]] MirrorGroup(const Sources& s, const Sums& out,
+                                     std::size_t i)
+      : x(Isa::load(s.x + i)), y(Isa::load(s.y + i)), z(Isa::load(s.z + i)),
+        vx(Isa::load(s.vx + i)), vy(Isa::load(s.vy + i)),
+        vz(Isa::load(s.vz + i)), m(Isa::load(s.m + i)),
+        ax(Isa::load(out.ax + i)), ay(Isa::load(out.ay + i)),
+        az(Isa::load(out.az + i)), jx(Isa::load(out.jx + i)),
+        jy(Isa::load(out.jy + i)), jz(Isa::load(out.jz + i)) {}
+
+  // The pair (lane, j) in the scalar loop's operation order: adds row j's
+  // pull to the lanes and leaves the terms row j subtracts, one per lane.
+  struct Terms {
+    V ax, ay, az, jx, jy, jz;
+  };
+  [[gnu::always_inline]] Terms pair(const Sources& s, std::size_t j) {
+    V dx = Isa::set1(s.x[j]) - x;
+    V dy = Isa::set1(s.y[j]) - y;
+    V dz = Isa::set1(s.z[j]) - z;
+    V dvx = Isa::set1(s.vx[j]) - vx;
+    V dvy = Isa::set1(s.vy[j]) - vy;
+    V dvz = Isa::set1(s.vz[j]) - vz;
+    V r2 = dx * dx + dy * dy + dz * dz + Isa::set1(s.eps2);
+    V r = Isa::sqrt(r2);
+    V r3 = r2 * r;
+    V rv = dx * dvx + dy * dvy + dz * dvz;
+    V inv_r3 = Isa::set1(1.0) / r3;
+    V alpha = Isa::set1(3.0) * rv / r2;
+    V jpx = (dvx - alpha * dx) * inv_r3;
+    V jpy = (dvy - alpha * dy) * inv_r3;
+    V jpz = (dvz - alpha * dz) * inv_r3;
+    const V mj = Isa::set1(s.m[j]);
+    V mj_r3 = mj * inv_r3;
+    ax = ax + mj_r3 * dx;
+    ay = ay + mj_r3 * dy;
+    az = az + mj_r3 * dz;
+    jx = jx + mj * jpx;
+    jy = jy + mj * jpy;
+    jz = jz + mj * jpz;
+    V mi_r3 = m * inv_r3;
+    return {mi_r3 * dx, mi_r3 * dy, mi_r3 * dz, m * jpx, m * jpy, m * jpz};
+  }
+
+  // Sources [j, j + W): row j + t gets terms[t]'s lanes subtracted in lane
+  // order. The transpose turns that column walk into W vector subtracts
+  // over the rows [j, j + W).
+  [[gnu::always_inline]] static void subtract_block(V (&terms)[W],
+                                                    double* row) {
+    Isa::transpose(terms);
+    V sum = Isa::load(row);
+    for (std::size_t l = 0; l < W; ++l) sum = sum - terms[l];
+    Isa::store(row, sum);
+  }
+
+  [[gnu::always_inline]] void add_block(const Sources& s, const Sums& out,
+                                        std::size_t j) {
+    V tax[W], tay[W], taz[W], tjx[W], tjy[W], tjz[W];
+    for (std::size_t t = 0; t < W; ++t) {
+      const Terms terms = pair(s, j + t);
+      tax[t] = terms.ax;
+      tay[t] = terms.ay;
+      taz[t] = terms.az;
+      tjx[t] = terms.jx;
+      tjy[t] = terms.jy;
+      tjz[t] = terms.jz;
+    }
+    subtract_block(tax, out.ax + j);
+    subtract_block(tay, out.ay + j);
+    subtract_block(taz, out.az + j);
+    subtract_block(tjx, out.jx + j);
+    subtract_block(tjy, out.jy + j);
+    subtract_block(tjz, out.jz + j);
+  }
+
+  // A column-tail source: its row takes the lane terms one by one.
+  [[gnu::always_inline]] static void subtract_lanes(V terms, double* row) {
+    double lanes[W];
+    Isa::store(lanes, terms);
+    for (std::size_t l = 0; l < W; ++l) *row -= lanes[l];
+  }
+
+  [[gnu::always_inline]] void add_single(const Sources& s, const Sums& out,
+                                         std::size_t j) {
+    const Terms terms = pair(s, j);
+    subtract_lanes(terms.ax, out.ax + j);
+    subtract_lanes(terms.ay, out.ay + j);
+    subtract_lanes(terms.az, out.az + j);
+    subtract_lanes(terms.jx, out.jx + j);
+    subtract_lanes(terms.jy, out.jy + j);
+    subtract_lanes(terms.jz, out.jz + j);
+  }
+
+  [[gnu::always_inline]] void store(const Sums& out, std::size_t i) const {
+    Isa::store(out.ax + i, ax);
+    Isa::store(out.ay + i, ay);
+    Isa::store(out.az + i, az);
+    Isa::store(out.jx + i, jx);
+    Isa::store(out.jy + i, jy);
+    Isa::store(out.jz + i, jz);
+  }
+
+  V x, y, z, vx, vy, vz, m;
+  V ax, ay, az, jx, jy, jz;
+};
+
+// The symmetric i-lane kernel. Row r's chain in the scalar loop is its
+// sources in ascending order: k < r arrive as subtractions during outer
+// iteration k, k > r as additions during its own. Per group of W rows, the
+// pairs inside the group run first, in scalar code and the loop's order;
+// then the lanes take the sources past the group. With W = 1 there are no
+// pairs inside a group, the transpose is the identity, and this is the
+// scalar loop itself.
+template <class Isa>
+[[gnu::always_inline]] inline void symmetric_rows(const Sources& s,
+                                                  const Sums& out) {
+  constexpr std::size_t W = Isa::kWidth;
+  const std::size_t n = s.n;
+  for (double* row : {out.ax, out.ay, out.az, out.jx, out.jy, out.jz}) {
+    std::fill_n(row, n, 0.0);
+  }
+  std::size_t i0 = 0;
+  for (; i0 + W <= n; i0 += W) {
+    for (std::size_t i = i0; i < i0 + W; ++i) {
+      for (std::size_t k = i + 1; k < i0 + W; ++k) scalar_pair(s, out, i, k);
+    }
+    MirrorGroup<Isa> group(s, out, i0);
+    std::size_t j = i0 + W;
+    for (; j + W <= n; j += W) group.add_block(s, out, j);
+    for (; j < n; ++j) group.add_single(s, out, j);
+    group.store(out, i0);
+  }
+  // Rows after the last full group: the tail of the scalar loop.
+  for (std::size_t i = i0; i < n; ++i) {
+    for (std::size_t k = i + 1; k < n; ++k) scalar_pair(s, out, i, k);
+  }
+}
+
+void scalar_symmetric(const Sources& s, const Sums& out) {
+  symmetric_rows<simd::Scalar>(s, out);
+}
+
+void native_symmetric(const Sources& s, const Sums& out) {
+  symmetric_rows<simd::Native>(s, out);
+}
+
+#if defined(JUNGLE_SIMD_AVX2)
+__attribute__((target("avx2"))) void avx2_symmetric(const Sources& s,
+                                                    const Sums& out) {
+  symmetric_rows<simd::Avx2>(s, out);
+}
+#endif
+
 }  // namespace
 
 const Tile& scalar() {
-  static const Tile tile{"scalar", 1, &scalar_tile};
+  static const Tile tile{"scalar", 1, &scalar_tile, &scalar_symmetric};
   return tile;
 }
 
 std::vector<Tile> supported() {
   std::vector<Tile> tiles;
   if constexpr (simd::Native::kWidth > 1) {
-    tiles.push_back({simd::Native::kName, simd::Native::kWidth, &native_tile});
+    tiles.push_back({simd::Native::kName, simd::Native::kWidth, &native_tile,
+                     &native_symmetric});
   }
 #if defined(JUNGLE_SIMD_AVX2)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) {
-    tiles.push_back({simd::Avx2::kName, simd::Avx2::kWidth, &avx2_tile});
+    tiles.push_back(
+        {simd::Avx2::kName, simd::Avx2::kWidth, &avx2_tile, &avx2_symmetric});
   }
 #endif
   return tiles;

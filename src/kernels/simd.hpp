@@ -22,16 +22,19 @@
 // compiled for the avx2 target, with everything between its entry point
 // and these operations inlined (see hermite_tile.cpp).
 //
-// Only IEEE-754 correctly-rounded operations are exposed (+ - * / sqrt and
-// bitwise selects) — no FMA, no rsqrt/rcp approximations. The Avx2 target is
-// "avx2" without "fma" on purpose: with GCC's default -ffp-contract=fast an
-// FMA-enabled target contracts a*b + c and changes the rounding. So one
-// per-lane operation sequence gives bit-identical results on every ISA.
-// Whether a vector loop matches its scalar reference then depends only on
-// its layout: the Hermite i-lane tile gives each lane its own target row
-// and runs the scalar order per lane (bit-identical); the SPH gather and the
-// BH near-leaf loop put sources in lanes and reassociate the sum, which is
-// why those kernels keep scalar references behind set_simd(false).
+// Only IEEE-754 correctly-rounded operations are exposed (+ - * / sqrt,
+// bitwise selects, and the lane shuffles of `transpose`) — no FMA, no
+// rsqrt/rcp approximations. The Avx2 target is "avx2" without "fma" on
+// purpose: with GCC's default -ffp-contract=fast an FMA-enabled target
+// contracts a*b + c and changes the rounding. So one per-lane operation
+// sequence gives bit-identical results on every ISA. Whether a vector loop
+// matches its scalar reference then depends only on its layout: the Hermite
+// i-lane tile and symmetric kernel give each lane its own target row and
+// run the scalar order per lane (bit-identical; the symmetric kernel also
+// transposes its mirrored terms so each source row receives them in the
+// scalar order); the SPH gather and the BH near-leaf loop put sources in
+// lanes and reassociate the sum, which is why those kernels keep scalar
+// references behind set_simd(false).
 
 #if defined(__x86_64__) || defined(_M_X64) || defined(__SSE2__)
 #include <immintrin.h>
@@ -82,6 +85,9 @@ struct Scalar {
     return {r};
   }
   static double hsum(VecD v) noexcept { return v.raw; }
+  /// Transposes the kWidth x kWidth block whose row r is m[r] (lane k of
+  /// m[r] becomes lane r of m[k]). Data movement only: no bit changes.
+  static void transpose(VecD (&)[kWidth]) noexcept {}
 };
 
 #if defined(JUNGLE_SIMD_SSE2)
@@ -120,6 +126,11 @@ struct Sse2 {
     __m128d swap = _mm_unpackhi_pd(v.raw, v.raw);
     return _mm_cvtsd_f64(_mm_add_sd(v.raw, swap));
   }
+  static void transpose(VecD (&m)[kWidth]) noexcept {
+    const __m128d r0 = m[0].raw, r1 = m[1].raw;
+    m[0].raw = _mm_unpacklo_pd(r0, r1);
+    m[1].raw = _mm_unpackhi_pd(r0, r1);
+  }
 };
 using Native = Sse2;
 
@@ -157,6 +168,11 @@ struct Neon {
   static double hsum(VecD v) noexcept {
     return vgetq_lane_f64(v.raw, 0) + vgetq_lane_f64(v.raw, 1);
   }
+  static void transpose(VecD (&m)[kWidth]) noexcept {
+    const float64x2_t r0 = m[0].raw, r1 = m[1].raw;
+    m[0].raw = vzip1q_f64(r0, r1);
+    m[1].raw = vzip2q_f64(r0, r1);
+  }
 };
 using Native = Neon;
 
@@ -184,6 +200,16 @@ struct Avx2 {
   static VecD sqrt(VecD a) noexcept { return {_mm256_sqrt_pd(a.raw)}; }
   static VecD select(VecD mask, VecD a, VecD b) noexcept {
     return {_mm256_blendv_pd(b.raw, a.raw, mask.raw)};
+  }
+  static void transpose(VecD (&m)[kWidth]) noexcept {
+    const __m256d t0 = _mm256_unpacklo_pd(m[0].raw, m[1].raw);
+    const __m256d t1 = _mm256_unpackhi_pd(m[0].raw, m[1].raw);
+    const __m256d t2 = _mm256_unpacklo_pd(m[2].raw, m[3].raw);
+    const __m256d t3 = _mm256_unpackhi_pd(m[2].raw, m[3].raw);
+    m[0].raw = _mm256_permute2f128_pd(t0, t2, 0x20);
+    m[1].raw = _mm256_permute2f128_pd(t1, t3, 0x20);
+    m[2].raw = _mm256_permute2f128_pd(t0, t2, 0x31);
+    m[3].raw = _mm256_permute2f128_pd(t1, t3, 0x31);
   }
 };
 // Namespace-scope operators rather than hidden friends: GCC does not apply

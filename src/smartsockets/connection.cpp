@@ -41,22 +41,20 @@ const char* connection_kind_name(ConnectionKind kind) noexcept {
 ConnectionEnd::ConnectionEnd(sim::Simulation& sim, sim::Host* local)
     : sim_(sim), local_(local), incoming_(sim) {}
 
-sim::Host& ConnectionEnd::remote_host() noexcept {
-  return initiator_ ? *pipe_->b->local_ : *pipe_->a->local_;
-}
+sim::Host& ConnectionEnd::remote_host() noexcept { return *remote_; }
 
 void ConnectionEnd::send(std::vector<std::uint8_t> bytes) {
   if (broken_) throw ConnectError("send on broken connection");
   if (closed_) throw ConnectError("send on closed connection");
   bytes_sent_ += static_cast<double>(bytes.size());
   if (stripe_count(static_cast<double>(bytes.size())) > 1) ++striped_sends_;
-  pipe_->route(this, Frame{next_send_seq_++, std::move(bytes), false});
+  pipe_->route(*this, Frame{next_send_seq_++, std::move(bytes), false});
 }
 
 void ConnectionEnd::close() {
   if (closed_ || broken_) return;
   closed_ = true;
-  pipe_->route(this, Frame{next_send_seq_++, {}, true});
+  pipe_->route(*this, Frame{next_send_seq_++, {}, true});
 }
 
 void ConnectionEnd::abort() {
@@ -126,15 +124,13 @@ Pipe::make(sim::Network& net, sim::TrafficClass cls,
   auto b = std::make_shared<ConnectionEnd>(net.simulation(), hops.back());
   a->pipe_ = pipe;
   b->pipe_ = pipe;
+  a->remote_ = hops.back();
+  b->remote_ = hops.front();
   a->initiator_ = true;
   a->kind_ = kind;
   b->kind_ = kind;
-  pipe->a = a.get();
-  pipe->b = b.get();
-  // The pipe keeps both ends alive while frames are in flight; the cycle is
-  // intentional and bounded by the simulation's lifetime.
-  pipe->a_owner_ = a;
-  pipe->b_owner_ = b;
+  pipe->a = a;
+  pipe->b = b;
   // A crash of either endpoint host breaks the connection (the IPL registry
   // turns this into a "died" event upstream).
   sim::Host* host_a = hops.front();
@@ -153,8 +149,8 @@ Pipe::make(sim::Network& net, sim::TrafficClass cls,
   net.simulation().on_kill([weak](sim::ProcessId pid) {
     auto alive = weak.lock();
     if (!alive) return false;  // pipe gone: unregister
-    ConnectionEnd* ea = alive->a;
-    ConnectionEnd* eb = alive->b;
+    auto ea = alive->a.lock();
+    auto eb = alive->b.lock();
     if (ea == nullptr || eb == nullptr) return true;
     if (ea->closed_ || eb->closed_ || ea->broken_ || eb->broken_) return true;
     if ((ea->last_user_ && *ea->last_user_ == pid) ||
@@ -192,8 +188,8 @@ bool Pipe::route_alive() const {
   return true;
 }
 
-void Pipe::route(ConnectionEnd* from_end, ConnectionEnd::Frame frame) {
-  hop(from_end == a, 0, std::move(frame));
+void Pipe::route(const ConnectionEnd& from_end, ConnectionEnd::Frame frame) {
+  hop(from_end.initiator_, 0, std::move(frame));
 }
 
 void Pipe::hop(bool forward, std::size_t hop_index,
@@ -201,7 +197,7 @@ void Pipe::hop(bool forward, std::size_t hop_index,
   // hops_ is initiator->acceptor order; walk it backwards for b->a frames.
   std::size_t hop_count = hops_.size() - 1;
   if (hop_index >= hop_count) {
-    ConnectionEnd* destination = forward ? b : a;
+    auto destination = (forward ? b : a).lock();
     if (destination != nullptr && !destination->broken_) {
       destination->deliver(std::move(frame));
     }
@@ -243,8 +239,8 @@ void Pipe::hop(bool forward, std::size_t hop_index,
 }
 
 void Pipe::break_both() {
-  if (a != nullptr) a->mark_broken();
-  if (b != nullptr) b->mark_broken();
+  if (auto end = a.lock()) end->mark_broken();
+  if (auto end = b.lock()) end->mark_broken();
 }
 
 }  // namespace jungle::smartsockets

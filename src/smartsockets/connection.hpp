@@ -81,6 +81,7 @@ class ConnectionEnd {
 
   sim::Simulation& sim_;
   sim::Host* local_;
+  sim::Host* remote_ = nullptr;
   std::shared_ptr<Pipe> pipe_;  // shared between both ends
   bool initiator_ = false;
   ConnectionKind kind_ = ConnectionKind::direct;
@@ -100,7 +101,10 @@ class ConnectionEnd {
 };
 
 /// Shared state of a connection: the two ends plus the hop path the frames
-/// travel (direct: [a, b]; relayed: [a, hub1, ..., b]).
+/// travel (direct: [a, b]; relayed: [a, hub1, ..., b]). The ends own the
+/// pipe, and so do the events carrying its frames; the pipe only observes
+/// the ends. An end its users dropped is gone: frames still in flight to it
+/// are discarded on arrival, and the crash, kill and link hooks skip it.
 class Pipe : public std::enable_shared_from_this<Pipe> {
  public:
   Pipe(sim::Network& net, sim::TrafficClass cls, std::vector<sim::Host*> hops,
@@ -113,7 +117,7 @@ class Pipe : public std::enable_shared_from_this<Pipe> {
 
   /// Route a frame from `from_end` to the other end along the hop path,
   /// retrying hops whose link is down. Non-blocking (events do the work).
-  void route(ConnectionEnd* from_end, ConnectionEnd::Frame frame);
+  void route(const ConnectionEnd& from_end, ConnectionEnd::Frame frame);
 
   void break_both();
 
@@ -122,8 +126,8 @@ class Pipe : public std::enable_shared_from_this<Pipe> {
   /// breaks the pipe even with no frame in flight.
   bool route_alive() const;
 
-  ConnectionEnd* a = nullptr;  // initiator
-  ConnectionEnd* b = nullptr;  // acceptor
+  std::weak_ptr<ConnectionEnd> a;  // initiator
+  std::weak_ptr<ConnectionEnd> b;  // acceptor
 
  private:
   void hop(bool forward, std::size_t hop_index, ConnectionEnd::Frame frame);
@@ -132,8 +136,6 @@ class Pipe : public std::enable_shared_from_this<Pipe> {
   sim::TrafficClass cls_;
   std::vector<sim::Host*> hops_;
   ConnectionKind kind_;
-  std::shared_ptr<ConnectionEnd> a_owner_;
-  std::shared_ptr<ConnectionEnd> b_owner_;
 };
 
 }  // namespace jungle::smartsockets

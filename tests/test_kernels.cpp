@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -352,45 +353,121 @@ TEST(HermiteTile, EveryHostTileMatchesScalarBitForBit) {
   }
 }
 
+TEST(HermiteTile, EverySymmetricKernelMatchesScalarBitForBit) {
+  // Every host width against the sequential scalar loop (set_simd(false) on
+  // a 1-lane pool), plus the one-lane instantiation scalar() carries. The
+  // sizes cover no full lane group, one group with and without tail rows,
+  // column tails after the full source blocks, and the triple-plummer
+  // model's 128 bodies.
+  auto kernels = hermite_tile::supported();
+  kernels.insert(kernels.begin(), hermite_tile::scalar());
+  util::ThreadPool pool(1);
+  for (const auto& kernel : kernels) {
+    const std::size_t w = kernel.lanes;
+    std::vector<std::size_t> sizes = {1,         2,   3,   w - 1, w,  w + 1,
+                                      2 * w + 3, 127, 128, 130,   255};
+    for (double eps2 : {1e-4, 0.0}) {
+      for (std::size_t n : sizes) {
+        if (n == 0) continue;
+        ASSERT_LT(n, HermiteIntegrator::kParallelThreshold);
+        // Distinct positions: eps2 = 0 leaves every pair finite.
+        util::Rng rng(1000 + n);
+        HermiteIntegrator::Params params;
+        params.eps2 = eps2;
+        HermiteIntegrator reference(params);
+        reference.set_thread_pool(&pool);
+        reference.set_simd(false);
+        std::vector<double> x(n), y(n), z(n), vx(n), vy(n), vz(n), m(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          x[i] = rng.uniform(-1, 1);
+          y[i] = rng.uniform(-1, 1);
+          z[i] = rng.uniform(-1, 1);
+          vx[i] = rng.uniform(-1, 1);
+          vy[i] = rng.uniform(-1, 1);
+          vz[i] = rng.uniform(-1, 1);
+          m[i] = rng.uniform(0.5, 1.5) / static_cast<double>(n);
+          reference.add_particle(m[i], {x[i], y[i], z[i]},
+                                 {vx[i], vy[i], vz[i]});
+        }
+        reference.evolve(0.0);  // forces at the initial state, no step
+        const hermite_tile::Sources sources{
+            x.data(), y.data(), z.data(), vx.data(), vy.data(), vz.data(),
+            m.data(), n,        eps2};
+        std::vector<double> ax(n, 7.0), ay(n, 7.0), az(n, 7.0), jx(n, 7.0),
+            jy(n, 7.0), jz(n, 7.0);
+        kernel.symmetric(sources, {ax.data(), ay.data(), az.data(),
+                                   jx.data(), jy.data(), jz.data()});
+        std::vector<Vec3> acc(n), jerk(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          acc[i] = {ax[i], ay[i], az[i]};
+          jerk[i] = {jx[i], jy[i], jz[i]};
+          ASSERT_TRUE(std::isfinite(acc[i].norm2()) &&
+                      std::isfinite(jerk[i].norm2()))
+              << kernel.isa << " row " << i << " n " << n;
+        }
+        EXPECT_TRUE(same_bits(acc, reference.accelerations()))
+            << kernel.isa << " acc n " << n << " eps2 " << eps2;
+        EXPECT_TRUE(same_bits(jerk, reference.jerks()))
+            << kernel.isa << " jerk n " << n << " eps2 " << eps2;
+      }
+    }
+  }
+}
+
 TEST(HermiteTile, DispatchPicksTheWidestSupportedTile) {
   const auto tiles = hermite_tile::supported();
   const auto& chosen = hermite_tile::dispatched();
   if (tiles.empty()) {
     EXPECT_EQ(chosen.run, hermite_tile::scalar().run);
+    EXPECT_EQ(chosen.symmetric, hermite_tile::scalar().symmetric);
   } else {
     EXPECT_EQ(chosen.run, tiles.back().run);
+    EXPECT_EQ(chosen.symmetric, tiles.back().symmetric);
     for (const auto& tile : tiles) EXPECT_LE(tile.lanes, chosen.lanes);
   }
 }
 
 TEST(Hermite, SimdAndScalarEvolveBitIdentical) {
-  // A 4-lane pool and N above kParallelThreshold: the tiled path, full and
-  // sharded (a shard's rows start past 0 and end before N).
-  const std::size_t n = 400;
-  util::Rng rng(29);
-  auto model = amuse::ic::plummer_sphere(n, rng);
-  util::ThreadPool pool(4);
-  auto run = [&](bool simd, std::size_t lo, std::size_t hi) {
-    HermiteIntegrator nbody;
-    nbody.set_thread_pool(&pool);
-    nbody.set_simd(simd);
-    for (std::size_t i = 0; i < n; ++i) {
-      nbody.add_particle(model.mass[i], model.position[i], model.velocity[i]);
-    }
-    nbody.set_owned_range(lo, hi);
-    nbody.evolve(1.0 / 32.0);
-    return nbody;
+  // The tiled path: a 4-lane pool and N above kParallelThreshold, full and
+  // sharded (a shard's rows start past 0 and end before N). The symmetric
+  // path: N = 128 below the threshold on the 4-lane pool, and N = 300 on a
+  // 1-lane pool.
+  struct Case {
+    std::size_t n;
+    unsigned lanes;
+    std::size_t lo, hi;
   };
-  for (auto [lo, hi] : {std::pair<std::size_t, std::size_t>{0, n},
-                        std::pair<std::size_t, std::size_t>{101, 299}}) {
-    HermiteIntegrator vec = run(true, lo, hi);
-    HermiteIntegrator ref = run(false, lo, hi);
-    EXPECT_GT(vec.substeps(), 1u);
-    EXPECT_EQ(vec.substeps(), ref.substeps());
-    EXPECT_TRUE(same_bits(vec.positions(), ref.positions())) << lo;
-    EXPECT_TRUE(same_bits(vec.velocities(), ref.velocities())) << lo;
-    EXPECT_TRUE(same_bits(vec.accelerations(), ref.accelerations())) << lo;
-    EXPECT_TRUE(same_bits(vec.jerks(), ref.jerks())) << lo;
+  const Case cases[] = {
+      {400, 4, 0, 400}, {400, 4, 101, 299}, {128, 4, 0, 128}, {300, 1, 0, 300}};
+  for (const Case& c : cases) {
+    util::Rng rng(29);
+    auto model = amuse::ic::plummer_sphere(c.n, rng);
+    util::ThreadPool pool(c.lanes);
+    auto run = [&](bool simd) {
+      HermiteIntegrator nbody;
+      nbody.set_thread_pool(&pool);
+      nbody.set_simd(simd);
+      for (std::size_t i = 0; i < c.n; ++i) {
+        nbody.add_particle(model.mass[i], model.position[i],
+                           model.velocity[i]);
+      }
+      nbody.set_owned_range(c.lo, c.hi);
+      nbody.evolve(1.0 / 32.0);
+      return nbody;
+    };
+    HermiteIntegrator vec = run(true);
+    HermiteIntegrator ref = run(false);
+    const std::string label = "n " + std::to_string(c.n) + " lanes " +
+                              std::to_string(c.lanes) + " rows [" +
+                              std::to_string(c.lo) + ", " +
+                              std::to_string(c.hi) + ")";
+    EXPECT_GT(vec.substeps(), 1u) << label;
+    EXPECT_EQ(vec.substeps(), ref.substeps()) << label;
+    EXPECT_EQ(vec.pair_evaluations(), ref.pair_evaluations()) << label;
+    EXPECT_TRUE(same_bits(vec.positions(), ref.positions())) << label;
+    EXPECT_TRUE(same_bits(vec.velocities(), ref.velocities())) << label;
+    EXPECT_TRUE(same_bits(vec.accelerations(), ref.accelerations())) << label;
+    EXPECT_TRUE(same_bits(vec.jerks(), ref.jerks())) << label;
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "smartsockets/smartsockets.hpp"
 
 using namespace jungle;
@@ -67,6 +70,37 @@ TEST(SmartSockets, DirectEndToEnd) {
   EXPECT_EQ(reply, "ok");
   EXPECT_EQ(server_kind, ConnectionKind::direct);
   EXPECT_EQ(w.sockets.setup_stats().direct, 1);
+}
+
+TEST(SmartSockets, DroppedEndsAreFreedAfterInFlightFramesLand) {
+  // The ends own the pipe, not the reverse: once both users drop their
+  // ends, nothing keeps them alive. A sender may drop its end right after
+  // close(); its frames still in flight reach the peer.
+  World w;
+  ServerSocket& server = w.sockets.listen(w.net.host("lgm"), "sink");
+  std::weak_ptr<ConnectionEnd> client_end, server_end;
+  std::string received;
+  bool eof = false;
+  w.net.host("lgm").spawn("server", [&] {
+    auto conn = server.accept();
+    server_end = conn;
+    auto data = conn->recv();
+    ASSERT_TRUE(data.has_value());
+    received.assign(data->begin(), data->end());
+    eof = !conn->recv().has_value();
+  });
+  w.net.host("fs0").spawn("client", [&] {
+    auto conn = w.sockets.connect(w.net.host("fs0"), w.net.host("lgm"),
+                                  "sink", TrafficClass::control);
+    client_end = conn;
+    conn->send(std::vector<std::uint8_t>{'h', 'i'});
+    conn->close();
+  });
+  w.sim.run();
+  EXPECT_EQ(received, "hi");
+  EXPECT_TRUE(eof);
+  EXPECT_TRUE(client_end.expired());
+  EXPECT_TRUE(server_end.expired());
 }
 
 TEST(SmartSockets, ReverseConnectionThroughFirewall) {

@@ -6,12 +6,13 @@ committed in the repository and fails when:
   * any vector path drifts from its scalar reference beyond the physics
     tolerance (lane reassociation explains ~1e-15; anything above 1e-12
     means the vector arithmetic no longer mirrors the scalar loop),
-  * the hermite vector path differs from its scalar reference at all: its
-    i-lane tile runs the scalar operation order in every lane, so any
-    deviation means a reassociation or an FMA contraction crept in,
+  * a hermite vector path differs from its scalar reference at all: its
+    i-lane tile and its symmetric kernel run the scalar operation order in
+    every lane, so any deviation means a reassociation or an FMA
+    contraction crept in,
   * the hermite vector tile (row name hermite_jblock, kept for the
-    trajectory) stops beating its scalar tiled reference by a real
-    margin, or
+    trajectory) or the symmetric kernel (hermite_symmetric) stops beating
+    its scalar reference by a real margin, or
   * the sph/bhtree vector paths regress below parity (their SIMD share of
     the whole evolve is small, so they gate on non-regression, not on a
     large speedup).
@@ -27,9 +28,11 @@ import json
 import sys
 
 MAX_REL_DEV = 1e-12       # lane reassociation only; observed ~1e-15
-BIT_IDENTICAL = {"hermite_jblock"}  # max_rel_dev must be exactly 0
+# max_rel_dev must be exactly 0
+BIT_IDENTICAL = {"hermite_jblock", "hermite_symmetric"}
 SPEEDUP_FLOORS = {
     "hermite_jblock": 1.2,  # the SoA j-tile loop is the SIMD showcase
+    "hermite_symmetric": 1.2,  # the fault explorer's 128-body models
     "sph_density": 0.85,    # gather pass is a small share of evolve
     "bhtree_leaf": 0.85,    # near-leaf lanes amortized over tree walk
 }
