@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "amuse/diagnostics.hpp"
 #include "amuse/faultpoint.hpp"
@@ -175,6 +178,77 @@ int ExperimentSpec::find(const std::string& model_name) const {
   return -1;
 }
 
+namespace {
+
+/// One model's own checks; validate() runs the graph-wide ones.
+void validate_model(const ExperimentSpec& spec, const ModelSpec& model,
+                    const std::function<void(const std::string&)>& fail) {
+  if (model.name.empty()) fail("a model has no name");
+  for (const ModelSpec& other : spec.models) {
+    if (&other != &model && other.name == model.name) {
+      fail("duplicate model name '" + model.name + "'");
+    }
+  }
+  if (!kernel_valid(model.role, model.kernel)) {
+    fail("model '" + model.name + "': kernel '" + model.kernel +
+         "' does not implement the " + role_label(model.role) + " role");
+  }
+  if (!ic_valid(model.role, model.ic)) {
+    fail("model '" + model.name + "': ic '" + model.ic +
+         "' is not an IC recipe of the " + role_label(model.role) +
+         " role");
+  }
+  if (is_dynamic(model.role) || model.role == Role::stellar) {
+    if (model.n == 0) {
+      fail("model '" + model.name + "' declares no particles (n = 0)");
+    }
+  } else if (model.n != 0) {
+    fail("field model '" + model.name +
+         "' declares particles; field kernels evaluate, they do not own "
+         "state");
+  }
+
+  if (model.workers < 1) {
+    fail("model '" + model.name + "': workers must be >= 1, got " +
+         std::to_string(model.workers));
+  }
+  if (model.workers > 1 && model.role != Role::gravity) {
+    fail("model '" + model.name + "': workers = " +
+         std::to_string(model.workers) +
+         " but only gravity models shard (domain decomposition)");
+  }
+  if (model.workers > 1 && model.kernel == "phigrape-gpu") {
+    fail("model '" + model.name +
+         "': sharding is CPU-only (kernel phigrape-gpu cannot split "
+         "across workers)");
+  }
+
+  if (model.role == Role::stellar) {
+    int target = spec.find(model.of);
+    if (model.of.empty() || target < 0) {
+      fail("stellar model '" + model.name + "' must name the gravity "
+           "model its masses flow into (of = ...)");
+    }
+    if (spec.models[static_cast<std::size_t>(target)].role != Role::gravity) {
+      fail("stellar model '" + model.name + "': of = '" + model.of +
+           "' is not a gravity model");
+    }
+    if (!model.feedback.empty()) {
+      int sink = spec.find(model.feedback);
+      if (sink < 0 ||
+          spec.models[static_cast<std::size_t>(sink)].role != Role::hydro) {
+        fail("stellar model '" + model.name + "': feedback = '" +
+             model.feedback + "' is not a hydro model");
+      }
+    }
+  } else if (!model.of.empty() || !model.feedback.empty()) {
+    fail("model '" + model.name +
+         "' sets stellar wiring (of/feedback) but is not a stellar model");
+  }
+}
+
+}  // namespace
+
 void ExperimentSpec::validate() const {
   auto fail = [&](const std::string& what) {
     throw ConfigError("experiment '" + name + "': " + what);
@@ -187,69 +261,8 @@ void ExperimentSpec::validate() const {
 
   bool any_dynamic = false;
   for (const ModelSpec& model : models) {
-    if (model.name.empty()) fail("a model has no name");
-    for (const ModelSpec& other : models) {
-      if (&other != &model && other.name == model.name) {
-        fail("duplicate model name '" + model.name + "'");
-      }
-    }
-    if (!kernel_valid(model.role, model.kernel)) {
-      fail("model '" + model.name + "': kernel '" + model.kernel +
-           "' does not implement the " + role_label(model.role) + " role");
-    }
-    if (!ic_valid(model.role, model.ic)) {
-      fail("model '" + model.name + "': ic '" + model.ic +
-           "' is not an IC recipe of the " + role_label(model.role) +
-           " role");
-    }
-    if (is_dynamic(model.role) || model.role == Role::stellar) {
-      if (model.n == 0) {
-        fail("model '" + model.name + "' declares no particles (n = 0)");
-      }
-    } else if (model.n != 0) {
-      fail("field model '" + model.name +
-           "' declares particles; field kernels evaluate, they do not own "
-           "state");
-    }
+    validate_model(*this, model, fail);
     if (is_dynamic(model.role)) any_dynamic = true;
-
-    if (model.workers < 1) {
-      fail("model '" + model.name + "': workers must be >= 1, got " +
-           std::to_string(model.workers));
-    }
-    if (model.workers > 1 && model.role != Role::gravity) {
-      fail("model '" + model.name + "': workers = " +
-           std::to_string(model.workers) +
-           " but only gravity models shard (domain decomposition)");
-    }
-    if (model.workers > 1 && model.kernel == "phigrape-gpu") {
-      fail("model '" + model.name +
-           "': sharding is CPU-only (kernel phigrape-gpu cannot split "
-           "across workers)");
-    }
-
-    if (model.role == Role::stellar) {
-      int target = find(model.of);
-      if (model.of.empty() || target < 0) {
-        fail("stellar model '" + model.name + "' must name the gravity "
-             "model its masses flow into (of = ...)");
-      }
-      if (models[static_cast<std::size_t>(target)].role != Role::gravity) {
-        fail("stellar model '" + model.name + "': of = '" + model.of +
-             "' is not a gravity model");
-      }
-      if (!model.feedback.empty()) {
-        int sink = find(model.feedback);
-        if (sink < 0 ||
-            models[static_cast<std::size_t>(sink)].role != Role::hydro) {
-          fail("stellar model '" + model.name + "': feedback = '" +
-               model.feedback + "' is not a hydro model");
-        }
-      }
-    } else if (!model.of.empty() || !model.feedback.empty()) {
-      fail("model '" + model.name +
-           "' sets stellar wiring (of/feedback) but is not a stellar model");
-    }
   }
   if (!any_dynamic) fail("declares no dynamic (gravity/hydro) model");
 
@@ -321,17 +334,6 @@ void ExperimentSpec::validate() const {
       (flap_after_iteration >= 1 || flap_streams > 0)) {
     fail("flap injection is configured but flap_link names no link");
   }
-
-  // Drift-triggered migration reuses the checkpoint/rollback machinery —
-  // without checkpointing there is no consistent state to migrate.
-  if (replan && !checkpointing) {
-    fail("replan is set but checkpointing is off — migration needs a "
-         "committed checkpoint to restore from");
-  }
-  if (!(replan_drift > 1.0)) {
-    fail("replan_drift must be a factor > 1, got " +
-         std::to_string(replan_drift));
-  }
 }
 
 sched::Workload ExperimentSpec::workload() const {
@@ -398,6 +400,31 @@ Role parse_role(const std::string& text, const std::string& where) {
                     "' (gravity|hydro|field|stellar)");
 }
 
+// The keys each experiment section accepts, next to the code that reads
+// them. Any other key is a ConfigError: a misspelt or retired switch would
+// otherwise be silently ignored and change what the file means.
+constexpr std::string_view kExperimentKeys[] = {
+    "name", "dt", "iterations", "se_every", "seed", "datapath",
+    "myr_per_nbody_time", "feedback_efficiency", "wind_specific_energy",
+    "supernova_energy", "checkpointing", "kill_host", "kill_after_iteration",
+    "kill_process", "flap_link", "flap_after_iteration", "flap_down_s",
+    "flap_streams", "flap_streams_heal_s", "rpc_timeout", "client"};
+constexpr std::string_view kModelKeys[] = {
+    "role", "kernel", "n", "nranks", "nodes", "workers", "eps2", "eta",
+    "theta", "ic", "total_mass", "radius", "u_frac", "offset", "velocity",
+    "ensure_massive", "of", "feedback", "place"};
+constexpr std::string_view kCouplingKeys[] = {"field", "a", "b", "every"};
+
+void reject_unknown_keys(const util::Config& config,
+                         const std::string& section,
+                         std::span<const std::string_view> accepted) {
+  for (const std::string& key : config.keys(section)) {
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      throw ConfigError("unknown key '" + key + "' in [" + section + "]");
+    }
+  }
+}
+
 }  // namespace
 
 bool config_declares_experiment(const util::Config& config) {
@@ -411,6 +438,7 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
   ExperimentSpec spec;
   if (config.has_section("experiment")) {
     const std::string s = "experiment";
+    reject_unknown_keys(config, s, kExperimentKeys);
     spec.name = config.get_or(s, "name", spec.name);
     spec.dt = config.get_double_or(s, "dt", spec.dt);
     spec.iterations =
@@ -453,13 +481,11 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
     spec.rpc_timeout =
         config.get_double_or(s, "rpc_timeout", spec.rpc_timeout);
     spec.client = config.get_or(s, "client", "");
-    spec.replan = config.get_bool_or(s, "replan", spec.replan);
-    spec.replan_drift =
-        config.get_double_or(s, "replan_drift", spec.replan_drift);
   }
 
   for (const std::string& section : config.sections()) {
     if (util::starts_with(section, "model ")) {
+      reject_unknown_keys(config, section, kModelKeys);
       ModelSpec model;
       model.name = util::trim(section.substr(6));
       model.role = parse_role(config.get(section, "role"), section);
@@ -492,6 +518,7 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
       model.place = config.get_or(section, "place", "");
       spec.models.push_back(std::move(model));
     } else if (util::starts_with(section, "coupling ")) {
+      reject_unknown_keys(config, section, kCouplingKeys);
       CouplingSpec coupling;
       coupling.name = util::trim(section.substr(9));
       coupling.field = config.get(section, "field");
@@ -583,6 +610,17 @@ sim::Host& client_of(JungleTestbed& bed, const ExperimentSpec& spec) {
                              : bed.network().host(spec.client);
 }
 
+/// The spec's numeric kernel parameters always win (they are physics, not
+/// placement); codes and widths were already constrained via the workload.
+/// Worker-side metrics carry the model name, not the kernel code, so
+/// worker.<name>.* lines up with the plan's roles and rpc.<name>.*.
+void install_model_params(sched::Assignment& a, const ModelSpec& model) {
+  a.spec.eps2 = model.eps2;
+  a.spec.eta = model.eta;
+  a.spec.theta = model.theta;
+  a.spec.meter = model.name;
+}
+
 sched::Placement plan_in(JungleTestbed& bed, const ExperimentSpec& spec,
                          sim::Host& client,
                          const sched::Scheduler& scheduler) {
@@ -593,15 +631,8 @@ sched::Placement plan_in(JungleTestbed& bed, const ExperimentSpec& spec,
     pins.push_back(resolve_pin(bed, model, client));
   }
   sched::Placement plan = scheduler.plan(load, pins);
-  // The spec's numeric kernel parameters always win (they are physics, not
-  // placement); codes and widths were already constrained via the workload.
   for (std::size_t i = 0; i < spec.models.size(); ++i) {
-    plan.roles[i].spec.eps2 = spec.models[i].eps2;
-    plan.roles[i].spec.eta = spec.models[i].eta;
-    plan.roles[i].spec.theta = spec.models[i].theta;
-    // Worker-side metrics carry the model name, not the kernel code, so
-    // worker.<name>.* lines up with the plan's roles and rpc.<name>.*.
-    plan.roles[i].spec.meter = spec.models[i].name;
+    install_model_params(plan.roles[i], spec.models[i]);
   }
   return plan;
 }
@@ -622,8 +653,10 @@ sched::Placement plan_experiment(JungleTestbed& bed,
 namespace {
 
 /// Live clients of one model of the running graph. Exactly one of the
-/// client pointers is set, matching the model's role. Checkpoints live in
-/// one graph-wide GraphCheckpoint (atomic commit), not per model.
+/// client pointers is set, matching the model's role; every per-role
+/// dispatch of the runner happens here. Checkpoints live in one graph-wide
+/// GraphCheckpoint (atomic commit); this model's slot `i` in it is its
+/// declaration index.
 struct ModelRuntime {
   std::unique_ptr<GravityClient> gravity;
   std::unique_ptr<HydroClient> hydro;
@@ -631,6 +664,8 @@ struct ModelRuntime {
   std::unique_ptr<StellarClient> stellar;
 
   std::vector<double> zams;
+  /// A supervisor restarted the worker in place (GraphRunner::try_revive).
+  bool revived = false;
 
   DynamicsClient* dynamics() {
     if (gravity) return gravity.get();
@@ -644,977 +679,924 @@ struct ModelRuntime {
     if (field) return field->rpc();
     return stellar->rpc();
   }
-  void close() {
-    if (gravity) gravity->close();
-    if (hydro) hydro->close();
-    if (field) field->close();
-    if (stellar) stellar->close();
+  /// Call `f` on the model's one client.
+  template <typename F>
+  void visit(F&& f) {
+    if (gravity) f(*gravity);
+    if (hydro) f(*hydro);
+    if (field) f(*field);
+    if (stellar) f(*stellar);
+  }
+  void close() { visit([](auto& client) { client.close(); }); }
+  void set_delta_exchange(bool on) {
+    visit([&](auto& client) { client.set_delta_exchange(on); });
+  }
+  void reset_delta_caches() {
+    visit([](auto& client) { client.reset_delta_caches(); });
+  }
+
+  void attach(Role role, std::unique_ptr<RpcClient> rpc) {
+    switch (role) {
+      case Role::gravity:
+        gravity = std::make_unique<GravityClient>(std::move(rpc));
+        break;
+      case Role::hydro:
+        hydro = std::make_unique<HydroClient>(std::move(rpc));
+        break;
+      case Role::coupler:
+        field = std::make_unique<FieldClient>(std::move(rpc));
+        break;
+      case Role::stellar:
+        stellar = std::make_unique<StellarClient>(std::move(rpc));
+        break;
+    }
+  }
+
+  /// Draw the model's initial conditions from the shared stream, load them
+  /// into the worker and into slot i of the initial checkpoint.
+  void seed(const ModelSpec& model, util::Rng& rng, GraphCheckpoint& save,
+            std::size_t i) {
+    switch (model.role) {
+      case Role::gravity: {
+        auto body = ic::plummer_sphere(model.n, rng);
+        double scale_r = model.radius > 0.0 ? model.radius : 1.0;
+        double scale_m = model.total_mass;
+        if (scale_m != 1.0 || scale_r != 1.0) {
+          double scale_v = std::sqrt(scale_m / scale_r);
+          for (double& m : body.mass) m *= scale_m;
+          for (Vec3& p : body.position) p = p * scale_r;
+          for (Vec3& v : body.velocity) v = v * scale_v;
+        }
+        if (model.offset.norm2() > 0.0 || model.bulk_velocity.norm2() > 0.0) {
+          for (Vec3& p : body.position) p = p + model.offset;
+          for (Vec3& v : body.velocity) v = v + model.bulk_velocity;
+        }
+        if (model.workers > 1) {
+          // Domain decomposition: order the particles along the Morton
+          // curve so each shard's contiguous index range is a spatially
+          // compact block. Checkpoints store the permuted arrays, so
+          // restores and rollbacks replay the same decomposition.
+          auto order = kernels::morton_order(body.position);
+          body.mass =
+              kernels::permute(std::span<const double>(body.mass), order);
+          body.position =
+              kernels::permute(std::span<const Vec3>(body.position), order);
+          body.velocity =
+              kernels::permute(std::span<const Vec3>(body.velocity), order);
+        }
+        gravity->add_particles(body.mass, body.position, body.velocity);
+        // Checkpoints start as the initial conditions: a worker lost on
+        // the very first step rolls back to t=0 (epoch 0).
+        save.gravity[i].state =
+            GravityState{std::move(body.mass), std::move(body.position),
+                         std::move(body.velocity)};
+        save.gravity[i].eps2 = model.eps2;
+        save.gravity[i].eta = model.eta;
+        break;
+      }
+      case Role::hydro: {
+        double radius = model.radius > 0.0 ? model.radius : 1.5;
+        auto cloud = ic::gas_sphere(model.n, rng, model.total_mass, radius,
+                                    model.u_frac);
+        if (model.offset.norm2() > 0.0 || model.bulk_velocity.norm2() > 0.0) {
+          for (Vec3& p : cloud.position) p = p + model.offset;
+          for (Vec3& v : cloud.velocity) v = v + model.bulk_velocity;
+        }
+        hydro->add_gas(cloud.mass, cloud.position, cloud.velocity,
+                       cloud.internal_energy);
+        save.hydro[i].state =
+            HydroState{std::move(cloud.mass), std::move(cloud.position),
+                       std::move(cloud.velocity),
+                       std::move(cloud.internal_energy), {}};
+        save.hydro[i].eps2 = model.eps2;
+        save.hydro[i].theta = model.theta;
+        break;
+      }
+      case Role::stellar:
+        zams = ic::salpeter_masses(model.n, rng);
+        if (model.ensure_massive > 0.0) zams[0] = model.ensure_massive;
+        stellar->add_stars(zams);
+        break;
+      case Role::coupler:
+        break;
+    }
+  }
+
+  /// Snapshot the live worker into slot i of a staged graph checkpoint.
+  /// Stellar models save nothing: they re-derive from their ZAMS masses.
+  void capture(GraphCheckpoint& save, std::size_t i, const ModelSpec& model) {
+    if (gravity) {
+      save.gravity[i] = checkpoint_gravity(*gravity);
+      save.gravity[i].eps2 = model.eps2;
+      save.gravity[i].eta = model.eta;
+    } else if (hydro) {
+      save.hydro[i] = checkpoint_hydro(*hydro);
+      save.hydro[i].eps2 = model.eps2;
+      save.hydro[i].theta = model.theta;
+    } else if (field) {
+      save.field[i] = checkpoint_field(*field);
+    }
+  }
+
+  /// Digest of slot i (0 for a stellar model, which saves nothing).
+  std::uint64_t digest_slot(const GraphCheckpoint& save, std::size_t i) const {
+    if (gravity) return digest(save.gravity[i]);
+    if (hydro) return digest(save.hydro[i]);
+    if (field) return digest(save.field[i]);
+    return 0;
+  }
+
+  /// Restore slot i into a blank worker. A stellar model re-adds its ZAMS
+  /// masses and evolves to the checkpoint's clock.
+  void restore(const GraphCheckpoint& save, std::size_t i,
+               double myr_per_nbody_time) {
+    if (gravity) {
+      restore_gravity(*gravity, save.gravity[i]);
+    } else if (hydro) {
+      restore_hydro(*hydro, save.hydro[i]);
+    } else if (field) {
+      restore_field(*field, save.field[i]);
+    } else if (stellar) {
+      stellar->add_stars(zams);
+      if (save.time > 0.0) stellar->evolve_to(save.time * myr_per_nbody_time);
+    }
+  }
+
+  ModelResult final_state(const ModelSpec& model) {
+    ModelResult state;
+    state.name = model.name;
+    state.role = model.role;
+    if (gravity) {
+      state.gravity = gravity->get_state();
+      auto [kinetic, potential] = gravity->energies();
+      state.kinetic = kinetic;
+      state.potential = potential;
+    } else {
+      state.hydro = hydro->get_state();
+      auto [kinetic, thermal, potential] = hydro->energies();
+      state.kinetic = kinetic;
+      state.thermal = thermal;
+      state.potential = potential;
+    }
+    return state;
   }
 };
 
-std::unique_ptr<RpcClient> start_assignment(JungleTestbed& bed,
-                                            sim::Host& client,
-                                            DaemonClient& daemon_client,
-                                            const sched::Assignment& a) {
-  if (a.local()) {
-    return start_local_worker(bed.sockets(), bed.network(), client, client,
-                              a.spec, ChannelKind::mpi);
+/// WAN = anything that is not a host loopback or an intra-site LAN.
+bool is_wan(const sim::Network::LinkReport& link) {
+  return link.name != "loopback" && link.name.rfind("lan:", 0) != 0;
+}
+
+double total_bytes(const sim::Network::LinkReport& link) {
+  return link.bytes_by_class[0] + link.bytes_by_class[1] +
+         link.bytes_by_class[2] + link.bytes_by_class[3];
+}
+
+/// One run of an experiment graph. The members are the state the coupling
+/// script carries (plan, scheduler, model clients, committed checkpoint,
+/// bridge, result, counter mark); the methods are its phases: deploy,
+/// seed, step, commit, report, recover, collect. Placement and the final
+/// report run outside the simulation; script() is the body of the
+/// simulated coupling-script process.
+class GraphRunner {
+ public:
+  GraphRunner(JungleTestbed& bed, const ExperimentSpec& spec)
+      : bed_(bed),
+        spec_(spec),
+        client_(client_of(bed, spec)),
+        scheduler_(bed.network(), client_, bed.deployer().resources()),
+        load_(spec.workload()),
+        daemon_(bed.sockets(), client_),
+        models_(spec.models.size()) {
+    bed.daemon(client_);  // paper step 3: "start the Ibis-Daemon"
+    plan_ = plan_in(bed, spec, client_, scheduler_);
+    result_.experiment = spec.name;
+    result_.iterations = spec.iterations;
+    result_.placement = plan_.describe();
+    result_.modeled_seconds_per_iteration = plan_.modeled_seconds_per_iteration;
   }
-  return daemon_client.start_worker(a.spec, a.resource, a.nodes);
-}
 
-Bridge::Config bridge_config(const ExperimentSpec& spec) {
-  Bridge::Config config;
-  config.dt = spec.dt;
-  config.se_every = spec.se_every;
-  config.synchronous_datapath = spec.datapath == Datapath::synchronous;
-  config.myr_per_nbody_time = spec.myr_per_nbody_time;
-  config.feedback_efficiency = spec.feedback_efficiency;
-  config.wind_specific_energy = spec.wind_specific_energy;
-  config.supernova_energy = spec.supernova_energy;
-  return config;
-}
+  void script() {
+    // Clients close their links when destroyed: tear them (and the bridge
+    // that points at them) down inside this process, however it ends.
+    struct Teardown {
+      GraphRunner& runner;
+      ~Teardown() { runner.bridge_.reset(); runner.models_.clear(); }
+    } teardown{*this};
+    deploy();
+    apply_datapath();
+    seed_initial_conditions();
+    bed_.network().reset_traffic();
+    run_iterations();
+    collect_final_state();
+    for (ModelRuntime& model : models_) model.close();
+  }
 
-}  // namespace
+  /// WAN totals and the dashboard, once the simulation has run.
+  Result finish() {
+    for (const auto& link : bed_.network().traffic_report()) {
+      if (!is_wan(link)) continue;
+      result_.wan_bytes += total_bytes(link);
+      result_.wan_ipl_bytes +=
+          link.bytes_by_class[static_cast<int>(sim::TrafficClass::ipl)];
+    }
+    result_.wan_ipl_bytes_per_step =
+        spec_.iterations > 0 ? result_.wan_ipl_bytes / spec_.iterations : 0.0;
 
-Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
-  spec.validate();
-  sim::Host& client = client_of(bed, spec);
-  bed.daemon(client);  // paper step 3: "start the Ibis-Daemon"
+    // Dashboard: the Figs 10/11 analog plus the placement panel — which
+    // machine ran which model, and modeled vs. measured cost.
+    std::ostringstream panel;
+    panel << bed_.deployer().dashboard();
+    panel << "-- placement (" << spec_.name << ") --\n";
+    for (std::size_t i = 0; i < plan_.roles.size(); ++i) {
+      const sched::Assignment& a = plan_.roles[i];
+      panel << "  " << plan_.names[i] << " ("
+            << sched::role_name(plan_.kinds[i]) << "): " << a.spec.code
+            << " @ " << a.where() << " modeled compute=" << a.compute_seconds
+            << " s comm=" << a.comm_seconds << " s\n";
+    }
+    panel << "  modeled=" << result_.modeled_seconds_per_iteration
+          << " s/iter measured=" << result_.seconds_per_iteration
+          << " s/iter";
+    if (result_.restarts > 0) panel << " restarts=" << result_.restarts;
+    panel << "\n";
+    if (result_.calibrated_seconds_per_iteration > 0.0) {
+      panel << "  calibrated=" << result_.calibrated_seconds_per_iteration
+            << " s/iter drift=" << result_.precalibration_drift << "x -> "
+            << result_.compute_drift << "x\n";
+    }
+    panel << diagnostics::iteration_table(result_.iteration_log);
+    result_.dashboard = panel.str();
+    return std::move(result_);
+  }
 
-  sched::Scheduler scheduler(bed.network(), client,
-                             bed.deployer().resources());
-  sched::Workload load = spec.workload();
-  sched::Placement plan = plan_in(bed, spec, client, scheduler);
+ private:
+  /// The clock and the monotone counters at one instant. Every
+  /// per-iteration figure is the delta of two marks (the registry is
+  /// process-global and never reset by a run), so reports stay correct
+  /// across rollbacks and repeated runs.
+  struct Mark {
+    double time = 0.0;
+    std::vector<double> compute_s;  // per model, worker-side
+    double flops = 0.0;
+    double compute_total = 0.0;
+    double substeps = 0.0;
+    double rpc_calls = 0.0;
+    double rpc_retries = 0.0;
+    double degraded_transfers = 0.0;
+    std::map<std::string, double> wan_by_link;
+    double wan_bytes = 0.0;  // summed over wan_by_link
+  };
 
-  std::size_t n_models = spec.models.size();
-  Result result;
-  result.experiment = spec.name;
-  result.iterations = spec.iterations;
-  result.placement = plan.describe();
-  result.modeled_seconds_per_iteration = plan.modeled_seconds_per_iteration;
+  double now() { return bed_.simulation().now(); }
+  bool fault_tolerant() const { return spec_.checkpointing; }
 
-  bed.simulation().spawn("amuse-script", [&] {
-    DaemonClient daemon_client(bed.sockets(), client);
-    std::vector<ModelRuntime> models(n_models);
-
-    // A model whose state exchanges cross a link flagged `fp_truncate`
-    // narrows its position wire format to f32 (the cost model priced the
-    // placement at the narrowed volume).
-    auto apply_fp_truncation = [&](std::size_t i) {
-      DynamicsClient* dynamics = models[i].dynamics();
-      const sim::Host* host = plan.roles[i].host;
-      if (dynamics == nullptr || host == nullptr) return;
-      if (bed.network().path_fp_truncate(client, *host)) {
-        dynamics->set_fp32_positions(true);
-      }
-    };
-
-    // Start every model's worker in declaration order. A sharded gravity
-    // model (workers > 1) starts K single-node workers — the cluster queue
-    // hands each its own node — and wraps them in the ShardedGravityClient
-    // facade, so the bridge/couplings/fault machinery see one model.
-    auto start_model = [&](std::size_t i) {
-      const ModelSpec& model = spec.models[i];
-      obs::trace::Span spawn =
-          obs::trace::span("spawn:" + model.name, "deploy");
-      if (model.role == Role::gravity && model.workers > 1) {
-        std::vector<std::unique_ptr<GravityClient>> shards;
-        shards.reserve(static_cast<std::size_t>(model.workers));
-        for (int k = 0; k < model.workers; ++k) {
-          sched::Assignment shard = plan.roles[i];
-          shard.nodes = 1;
-          // Shard 0 carries the model's meter name so calibration reads
-          // worker.<name>.compute_s ~ total/K, matching the modeled
-          // compute / K; the others are distinguishable in traces.
-          std::string meter =
-              k == 0 ? model.name : model.name + "#" + std::to_string(k);
-          shard.spec.meter = meter;
-          auto rpc = start_assignment(bed, client, daemon_client, shard);
-          rpc->set_call_timeout(spec.rpc_timeout);
-          rpc->set_meter(meter);
-          shards.push_back(std::make_unique<GravityClient>(std::move(rpc)));
-        }
-        models[i].gravity =
-            std::make_unique<ShardedGravityClient>(std::move(shards));
-        apply_fp_truncation(i);
-        return;
-      }
-      auto rpc = start_assignment(bed, client, daemon_client, plan.roles[i]);
-      rpc->set_call_timeout(spec.rpc_timeout);
-      // Client-side RPC metrics under the model name, matching the
-      // worker-side series wired through WorkerSpec::meter.
-      rpc->set_meter(model.name);
-      switch (model.role) {
-        case Role::gravity:
-          models[i].gravity = std::make_unique<GravityClient>(std::move(rpc));
-          break;
-        case Role::hydro:
-          models[i].hydro = std::make_unique<HydroClient>(std::move(rpc));
-          break;
-        case Role::coupler:
-          models[i].field = std::make_unique<FieldClient>(std::move(rpc));
-          break;
-        case Role::stellar:
-          models[i].stellar = std::make_unique<StellarClient>(std::move(rpc));
-          break;
-      }
-      apply_fp_truncation(i);
-    };
-    bool fault_tolerant = spec.checkpointing;
-
-    // ----- the fault path: exclude what died, re-place the affected
-    // models, and roll every evolving worker back to the last committed
-    // graph checkpoint (restarted integrators start at t=0; the new bridge
-    // carries the clock offset, the SE mass mappings and the SE cadence
-    // phase forward). Recovery itself is built to survive further faults:
-    // every sub-step that talks to the jungle sits in a bounded retry, so a
-    // second death while re-placing the first is handled, not fatal.
-
-    // Replacement/retry budget across the whole run — generous enough for
-    // cascaded faults, small enough to turn a re-place livelock (a hole,
-    // if one existed) into a hard error rather than an endless loop.
-    int replace_attempts = 0;
-    const int kReplaceBudget = 8 * static_cast<int>(n_models) + 8;
-    auto spend_attempt = [&] {
-      if (++replace_attempts > kReplaceBudget) {
-        throw CodeError("fault recovery exceeded its replacement budget (" +
-                        std::to_string(kReplaceBudget) + " attempts)");
-      }
-    };
-
-    // Global exclusions derived from one death report. Per-worker causes
-    // are handled per model in recover(); this handles what the report
-    // itself names (the crashed host, and its whole resource when the dead
-    // machine is a frontend — jobs submit through it even when the compute
-    // nodes survive).
-    auto note_death = [&](const WorkerDiedError& death) {
-      log::warn("experiment") << "recovering from: " << death.what();
-      faultpoint::reach(faultpoint::Point::recover_exclude, -1, death.host());
-      if (death.cause() == WorkerDiedError::Cause::host_crash &&
-          !death.host().empty()) {
-        scheduler.exclude_host(death.host());
-        std::string owner = scheduler.resource_of(death.host());
-        if (!owner.empty()) {
-          const gat::Resource& res = bed.deployer().resource(owner);
-          if (res.frontend != nullptr &&
-              res.frontend->name() == death.host()) {
-            scheduler.exclude_resource(owner);
-          }
-        }
-      }
-    };
-
-    // A model needs re-placing when its client was poisoned *or* its host
-    // is gone and the client just has not noticed yet (no RPC since the
-    // crash) — restarting onto a dead machine would only fail later.
-    auto model_dead = [&](std::size_t i) {
-      if (!models[i].rpc().alive()) return true;
-      const sched::Assignment& a = plan.roles[i];
-      return !a.local() && a.host != nullptr && !a.host->is_up();
-    };
-
-    auto replace_slot = [&](std::size_t i) {
-      spend_attempt();
-      plan.roles[i] = scheduler.replace(load, plan, static_cast<int>(i));
-      // Physics, not placement: the replacement keeps the spec's kernel
-      // parameters, exactly as plan_in installs them at first placement.
-      plan.roles[i].spec.eps2 = spec.models[i].eps2;
-      plan.roles[i].spec.eta = spec.models[i].eta;
-      plan.roles[i].spec.theta = spec.models[i].theta;
-      plan.roles[i].spec.meter = spec.models[i].name;
-    };
-
-    // In-place revive (PR 8): cause=process_crash means the daemon's
-    // supervisor already restarted the crashed worker on the same node and
-    // kept the relay open — revive the client over the same link and
-    // restore state into the blank replacement. No exclusions, no
-    // re-placement; the PR 2 path stays the fallback tier (the daemon
-    // reports host_crash when the node is gone or its restart budget is
-    // spent).
-    std::vector<bool> revived(n_models, false);
-    auto reset_model_caches = [&](ModelRuntime& model) {
-      if (model.gravity) {
-        model.gravity->reset_delta_caches();
-      } else if (model.hydro) {
-        model.hydro->reset_delta_caches();
-      } else if (model.field) {
-        model.field->reset_delta_caches();
-      } else if (model.stellar) {
-        model.stellar->reset_delta_caches();
-      }
-    };
-    auto try_revive = [&](std::size_t i) {
-      RpcClient& rpc = models[i].rpc();
-      if (rpc.alive() ||
-          rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
-        return false;
-      }
-      const sched::Assignment& a = plan.roles[i];
-      if (a.local() || (a.host != nullptr && !a.host->is_up())) return false;
-      spend_attempt();
-      rpc.revive();
-      reset_model_caches(models[i]);
-      revived[i] = true;
-      log::info("experiment")
-          << "worker '" << spec.models[i].name
-          << "' restarted in place; reviving the client on the same link";
-      return true;
-    };
-
-    // Initial deployment is as exposed to the jungle as any later step: a
-    // node can crash mid-spawn, a frontend can die holding half the graph.
-    // Same policy as recovery — exclude what failed, re-place, try again.
-    for (std::size_t i = 0; i < n_models; ++i) {
+  /// Initial deployment is as exposed to the jungle as any later step: a
+  /// node can crash mid-spawn, a frontend can die holding half the graph.
+  /// Same policy as recovery — exclude what failed, re-place, try again —
+  /// keyed on the death report itself: there is no client to revive yet.
+  void deploy() {
+    for (std::size_t i = 0; i < models_.size(); ++i) {
       for (;;) {
         try {
           start_model(i);
           break;
         } catch (const WorkerDiedError& death) {
-          if (!fault_tolerant || plan.roles[i].local()) throw;
-          ++result.restarts;
+          if (!fault_tolerant() || plan_.roles[i].local()) throw;
+          ++result_.restarts;
           note_death(death);
           if (death.cause() != WorkerDiedError::Cause::host_crash) {
-            scheduler.exclude_resource(plan.roles[i].resource);
+            scheduler_.exclude_resource(plan_.roles[i].resource);
           }
           replace_slot(i);
         } catch (const CodeError& startup) {
-          if (!fault_tolerant || plan.roles[i].local()) throw;
-          ++result.restarts;
-          log::warn("experiment")
-              << "re-placing '" << spec.models[i].name
-              << "' after startup failure: " << startup.what();
-          scheduler.exclude_resource(plan.roles[i].resource);
-          replace_slot(i);
+          if (!fault_tolerant() || plan_.roles[i].local()) throw;
+          ++result_.restarts;
+          replace_after_startup_failure(i, startup);
         }
       }
     }
-    if (result.restarts > 0) {
-      // Initial deployment already deviated from the planned placement:
-      // re-score so the dashboard describes what is actually running.
-      scheduler.score(load, plan);
-      result.placement = plan.describe();
-      result.modeled_seconds_per_iteration =
-          plan.modeled_seconds_per_iteration;
+    // Initial deployment already deviated from the planned placement:
+    // re-score so the dashboard describes what is actually running.
+    if (result_.restarts > 0) rescore();
+  }
+
+  /// Start model i's worker. A sharded gravity model (workers > 1) starts
+  /// K single-node workers — the cluster queue hands each its own node —
+  /// and wraps them in the ShardedGravityClient facade, so the bridge,
+  /// couplings and fault machinery see one model.
+  void start_model(std::size_t i) {
+    const ModelSpec& model = spec_.models[i];
+    obs::trace::Span spawn = obs::trace::span("spawn:" + model.name, "deploy");
+    if (model.role == Role::gravity && model.workers > 1) {
+      std::vector<std::unique_ptr<GravityClient>> shards;
+      shards.reserve(static_cast<std::size_t>(model.workers));
+      for (int k = 0; k < model.workers; ++k) {
+        sched::Assignment shard = plan_.roles[i];
+        shard.nodes = 1;
+        // Shard 0 carries the model's meter name so calibration reads
+        // worker.<name>.compute_s ~ total/K, matching the modeled
+        // compute / K; the others are distinguishable in traces.
+        std::string meter =
+            k == 0 ? model.name : model.name + "#" + std::to_string(k);
+        shard.spec.meter = meter;
+        shards.push_back(
+            std::make_unique<GravityClient>(start_worker(shard, meter)));
+      }
+      models_[i].gravity =
+          std::make_unique<ShardedGravityClient>(std::move(shards));
+    } else {
+      models_[i].attach(model.role, start_worker(plan_.roles[i], model.name));
     }
-
-    bool synchronous = spec.datapath == Datapath::synchronous;
-    auto apply_datapath = [&] {
-      // The baseline mode turns the delta exchange off end to end so the
-      // wire behaves exactly like the pre-overhaul full-fetch path.
-      for (ModelRuntime& model : models) {
-        if (model.gravity) model.gravity->set_delta_exchange(!synchronous);
-        if (model.hydro) model.hydro->set_delta_exchange(!synchronous);
-        if (model.field) model.field->set_delta_exchange(!synchronous);
-        if (model.stellar) model.stellar->set_delta_exchange(!synchronous);
-      }
-    };
-    apply_datapath();
-
-    // The last committed graph-wide checkpoint: one object, installed by a
-    // single move after every model captured — all models commit or none.
-    GraphCheckpoint committed;
-    committed.resize(n_models);
-
-    // Initial conditions: every model draws from one seeded stream in
-    // declaration order, so the spec is a reproducible experiment.
-    util::Rng rng(spec.seed);
-    for (std::size_t i = 0; i < n_models; ++i) {
-      const ModelSpec& model = spec.models[i];
-      switch (model.role) {
-        case Role::gravity: {
-          auto body = ic::plummer_sphere(model.n, rng);
-          double scale_r = model.radius > 0.0 ? model.radius : 1.0;
-          double scale_m = model.total_mass;
-          if (scale_m != 1.0 || scale_r != 1.0) {
-            double scale_v = std::sqrt(scale_m / scale_r);
-            for (double& m : body.mass) m *= scale_m;
-            for (Vec3& p : body.position) p = p * scale_r;
-            for (Vec3& v : body.velocity) v = v * scale_v;
-          }
-          if (model.offset.norm2() > 0.0 ||
-              model.bulk_velocity.norm2() > 0.0) {
-            for (Vec3& p : body.position) p = p + model.offset;
-            for (Vec3& v : body.velocity) v = v + model.bulk_velocity;
-          }
-          if (model.workers > 1) {
-            // Domain decomposition: order the particles along the Morton
-            // curve so each shard's contiguous index range is a spatially
-            // compact block. Checkpoints store the permuted arrays, so
-            // restores and rollbacks replay the same decomposition.
-            auto order = kernels::morton_order(body.position);
-            body.mass = kernels::permute(
-                std::span<const double>(body.mass), order);
-            body.position = kernels::permute(
-                std::span<const Vec3>(body.position), order);
-            body.velocity = kernels::permute(
-                std::span<const Vec3>(body.velocity), order);
-          }
-          models[i].gravity->add_particles(body.mass, body.position,
-                                           body.velocity);
-          // Checkpoints start as the initial conditions: a worker lost on
-          // the very first step rolls back to t=0 (epoch 0).
-          committed.gravity[i].state =
-              GravityState{std::move(body.mass), std::move(body.position),
-                           std::move(body.velocity)};
-          committed.gravity[i].eps2 = model.eps2;
-          committed.gravity[i].eta = model.eta;
-          break;
-        }
-        case Role::hydro: {
-          double radius = model.radius > 0.0 ? model.radius : 1.5;
-          auto cloud = ic::gas_sphere(model.n, rng, model.total_mass, radius,
-                                      model.u_frac);
-          if (model.offset.norm2() > 0.0 ||
-              model.bulk_velocity.norm2() > 0.0) {
-            for (Vec3& p : cloud.position) p = p + model.offset;
-            for (Vec3& v : cloud.velocity) v = v + model.bulk_velocity;
-          }
-          models[i].hydro->add_gas(cloud.mass, cloud.position, cloud.velocity,
-                                   cloud.internal_energy);
-          committed.hydro[i].state =
-              HydroState{std::move(cloud.mass), std::move(cloud.position),
-                         std::move(cloud.velocity),
-                         std::move(cloud.internal_energy), {}};
-          committed.hydro[i].eps2 = model.eps2;
-          committed.hydro[i].theta = model.theta;
-          break;
-        }
-        case Role::stellar: {
-          models[i].zams = ic::salpeter_masses(model.n, rng);
-          if (model.ensure_massive > 0.0) {
-            models[i].zams[0] = model.ensure_massive;
-          }
-          models[i].stellar->add_stars(models[i].zams);
-          break;
-        }
-        case Role::coupler:
-          break;
-      }
+    // A model whose state exchanges cross a link flagged `fp_truncate`
+    // narrows its position wire format to f32 (the cost model priced the
+    // placement at the narrowed volume).
+    DynamicsClient* dynamics = models_[i].dynamics();
+    const sim::Host* host = plan_.roles[i].host;
+    if (dynamics != nullptr && host != nullptr &&
+        bed_.network().path_fp_truncate(client_, *host)) {
+      dynamics->set_fp32_positions(true);
     }
+  }
 
-    // Wire the bridge graph: dynamic models become systems, couplings
-    // resolve to system indices, stellar models to their typed targets.
-    std::vector<int> system_of(n_models, -1);
-    auto build_bridge = [&](double t_start, int step_offset) {
-      std::vector<Bridge::System> systems;
-      for (std::size_t i = 0; i < n_models; ++i) {
-        if (models[i].dynamics() == nullptr) continue;
-        system_of[i] = static_cast<int>(systems.size());
-        systems.push_back({spec.models[i].name, models[i].dynamics()});
-      }
-      std::vector<Bridge::Coupling> couplings;
-      for (const CouplingSpec& coupling : spec.couplings) {
-        couplings.push_back(
-            {models[static_cast<std::size_t>(spec.find(coupling.field))]
-                 .field.get(),
-             system_of[static_cast<std::size_t>(spec.find(coupling.a))],
-             system_of[static_cast<std::size_t>(spec.find(coupling.b))],
-             coupling.every});
-      }
-      std::vector<Bridge::Stellar> stellar;
-      for (std::size_t i = 0; i < n_models; ++i) {
-        if (!models[i].stellar) continue;
-        const ModelSpec& model = spec.models[i];
-        Bridge::Stellar link;
-        link.client = models[i].stellar.get();
-        link.into =
-            models[static_cast<std::size_t>(spec.find(model.of))].gravity.get();
-        link.feedback =
-            model.feedback.empty()
-                ? nullptr
-                : models[static_cast<std::size_t>(spec.find(model.feedback))]
-                      .hydro.get();
-        stellar.push_back(link);
-      }
-      Bridge::Config config = bridge_config(spec);
-      // Absolute-clock restart: rebuilt bridges continue from the committed
-      // checkpoint's exact clock bits, and restored workers carry the same
-      // absolute time — evolve targets replay the fault-free sequence.
-      config.t_start = t_start;
-      config.step_offset = step_offset;
-      return std::make_unique<Bridge>(std::move(systems),
-                                      std::move(couplings),
-                                      std::move(stellar), config);
+  /// Client-side RPC metrics go under `meter`, matching the worker-side
+  /// series wired through WorkerSpec::meter.
+  std::unique_ptr<RpcClient> start_worker(const sched::Assignment& a,
+                                          const std::string& meter) {
+    auto rpc = a.local() ? start_local_worker(bed_.sockets(), bed_.network(),
+                                              client_, client_, a.spec,
+                                              ChannelKind::mpi)
+                         : daemon_.start_worker(a.spec, a.resource, a.nodes);
+    rpc->set_call_timeout(spec_.rpc_timeout);
+    rpc->set_meter(meter);
+    return rpc;
+  }
+
+  /// The baseline mode turns the delta exchange off end to end so the wire
+  /// behaves exactly like the pre-overhaul full-fetch path.
+  void apply_datapath() {
+    for (ModelRuntime& model : models_) {
+      model.set_delta_exchange(spec_.datapath != Datapath::synchronous);
+    }
+  }
+
+  /// Every model draws from one seeded stream in declaration order, so the
+  /// spec is a reproducible experiment.
+  void seed_initial_conditions() {
+    committed_.resize(models_.size());
+    util::Rng rng(spec_.seed);
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      models_[i].seed(spec_.models[i], rng, committed_, i);
+    }
+    bridge_ = build_bridge();
+  }
+
+  /// Wire the bridge graph at the committed checkpoint's clock: dynamic
+  /// models become systems, couplings resolve to system indices, stellar
+  /// models to their typed targets.
+  std::unique_ptr<Bridge> build_bridge() {
+    std::vector<int> system_of(models_.size(), -1);
+    std::vector<Bridge::System> systems;
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      if (models_[i].dynamics() == nullptr) continue;
+      system_of[i] = static_cast<int>(systems.size());
+      systems.push_back({spec_.models[i].name, models_[i].dynamics()});
+    }
+    auto slot = [&](const std::string& name) -> ModelRuntime& {
+      return models_[static_cast<std::size_t>(spec_.find(name))];
     };
-    auto bridge = build_bridge(0.0, 0);
+    std::vector<Bridge::Coupling> couplings;
+    for (const CouplingSpec& coupling : spec_.couplings) {
+      couplings.push_back(
+          {slot(coupling.field).field.get(),
+           system_of[static_cast<std::size_t>(spec_.find(coupling.a))],
+           system_of[static_cast<std::size_t>(spec_.find(coupling.b))],
+           coupling.every});
+    }
+    std::vector<Bridge::Stellar> stellar;
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      if (!models_[i].stellar) continue;
+      const ModelSpec& model = spec_.models[i];
+      Bridge::Stellar link;
+      link.client = models_[i].stellar.get();
+      link.into = slot(model.of).gravity.get();
+      link.feedback =
+          model.feedback.empty() ? nullptr : slot(model.feedback).hydro.get();
+      stellar.push_back(link);
+    }
+    Bridge::Config config;
+    config.dt = spec_.dt;
+    config.se_every = spec_.se_every;
+    config.synchronous_datapath = spec_.datapath == Datapath::synchronous;
+    config.myr_per_nbody_time = spec_.myr_per_nbody_time;
+    config.feedback_efficiency = spec_.feedback_efficiency;
+    config.wind_specific_energy = spec_.wind_specific_energy;
+    config.supernova_energy = spec_.supernova_energy;
+    // Absolute-clock restart: rebuilt bridges continue from the committed
+    // checkpoint's exact clock bits, and restored workers carry the same
+    // absolute time — evolve targets replay the fault-free sequence.
+    config.t_start = committed_.time;
+    config.step_offset = committed_.epoch;
+    return std::make_unique<Bridge>(std::move(systems), std::move(couplings),
+                                    std::move(stellar), config);
+  }
 
-    auto recover = [&](const WorkerDiedError& death) {
-      bool any_dead = false;
-      for (std::size_t i = 0; i < n_models; ++i) {
-        if (!model_dead(i)) continue;
-        any_dead = true;
-        if (try_revive(i)) continue;  // in-place restart: keep the slot
-        const sched::Assignment& was = plan.roles[i];
-        if (was.local()) {
-          throw CodeError("the client machine lost its own worker ('" +
-                          spec.models[i].name + "'); nothing to re-place "
-                          "onto");
-        }
-        // Per-worker cause: a crashed host is already excluded; a process
-        // crash blames neither host nor resource (the machine restarted
-        // the worker fine — revive only failed because the node went down
-        // meanwhile); anything else (link fault, timeout, unknown)
-        // condemns the whole resource — the machine may be fine, the
-        // route to it is not.
-        RpcClient& rpc = models[i].rpc();
-        if (!rpc.alive() &&
-            rpc.death_cause() != WorkerDiedError::Cause::host_crash &&
-            rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
-          scheduler.exclude_resource(was.resource);
-        }
-        replace_slot(i);
-      }
-      if (!any_dead) {
-        // Stale report: nothing is actually dead. Escalate as a plain
-        // CodeError — rethrowing the WorkerDiedError would bounce between
-        // here and the double-fault retry loop forever.
-        throw CodeError(std::string("unrecoverable death report (no model "
-                                    "affected): ") +
-                        death.what());
-      }
-
-      // The rollback target is the clock of the checkpoint we restore
-      // from — paired by construction, not re-derived as epoch * dt (the
-      // accumulated sum and the product can differ in the last ulp, and
-      // bit-exact replay needs the accumulated bits).
-      double t_done = committed.time;
-      std::vector<std::pair<std::vector<double>, std::vector<double>>>
-          mappings;
-      for (std::size_t link = 0, i = 0; i < n_models; ++i) {
-        if (!models[i].stellar) continue;
-        mappings.push_back(bridge->se_mapping(link++));
-      }
-
-      // All dynamic models share the bridge clock: they roll back together
-      // so their restarted integrators agree at t=0 (+ offset). Field and
-      // stellar workers are replaced only when they died. Each model's
-      // close/start/restore can itself be hit by a fault (a fresh host
-      // crashing mid-restore, a frontend dying between the re-place
-      // decision and the submit): exclude what failed, pick another target
-      // and try again, within the budget.
-      for (std::size_t i = 0; i < n_models; ++i) {
-        ModelRuntime& model = models[i];
-        bool dynamic = model.gravity != nullptr || model.hydro != nullptr;
-        if (!dynamic && !model_dead(i) && !revived[i]) continue;
-        for (;;) {
-          try {
-            // A revived slot keeps its client and relay: the supervised
-            // replacement worker is blank, so it only needs the restore.
-            if (!revived[i]) {
-              model.close();
-              start_model(i);
-            }
-            if (model.gravity) {
-              restore_gravity(*model.gravity, committed.gravity[i]);
-            } else if (model.hydro) {
-              restore_hydro(*model.hydro, committed.hydro[i]);
-            } else if (model.field) {
-              restore_field(*model.field, committed.field[i]);
-            } else if (model.stellar) {
-              model.stellar->add_stars(model.zams);
-              if (t_done > 0.0) {
-                model.stellar->evolve_to(t_done * spec.myr_per_nbody_time);
-              }
-            }
-            break;
-          } catch (const WorkerDiedError& again) {
-            // The replacement (or the machine it landed on) died while we
-            // were restoring into it.
-            note_death(again);
-            if (try_revive(i)) continue;  // another supervised restart
-            revived[i] = false;  // fall back: rebuild client and placement
-            if (plan.roles[i].local()) throw;
-            RpcClient& rpc = models[i].rpc();
-            if (!rpc.alive() &&
-                rpc.death_cause() != WorkerDiedError::Cause::host_crash &&
-                rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
-              scheduler.exclude_resource(plan.roles[i].resource);
-            }
-            replace_slot(i);
-          } catch (const CodeError& startup) {
-            // The daemon could not start the worker (e.g. the frontend
-            // died between the re-place decision and the submit). The
-            // resource is not usable right now — place elsewhere.
-            if (plan.roles[i].local()) throw;
-            log::warn("experiment")
-                << "re-placing '" << spec.models[i].name
-                << "' after startup failure: " << startup.what();
-            scheduler.exclude_resource(plan.roles[i].resource);
-            replace_slot(i);
-          }
-        }
-      }
-
-      // Fresh clients start with empty delta caches, and restarted workers
-      // mint a fresh state-id instance: nothing cached before the rollback
-      // (client states, coupler sources/accels) can be mistaken for
-      // current content during the replay.
-      apply_datapath();
-
-      faultpoint::reach(faultpoint::Point::recover_rebuild, committed.epoch);
-      bridge = build_bridge(t_done, committed.epoch);
-      for (std::size_t link = 0; link < mappings.size(); ++link) {
-        bridge->set_se_mapping(std::move(mappings[link].first),
-                               std::move(mappings[link].second), link);
-      }
-      // Re-score the whole post-fault placement so the dashboard's
-      // modeled-vs-measured panel describes what is actually running.
-      scheduler.score(load, plan);
-      result.placement = plan.describe();
-      result.modeled_seconds_per_iteration =
-          plan.modeled_seconds_per_iteration;
-    };
-
-    // Drift-triggered migration: the same machinery as fault recovery, but
-    // from a healthy state — the committed checkpoint equals the live
-    // state, so restoring into the new placement replays nothing. Only
-    // models whose assignment actually changed are moved; a death mid-move
-    // falls through to the ordinary recovery path.
-    auto migrate_to = [&](sched::Placement fresh) {
-      ++result.replans;
-      obs::metrics::counter("sched.replans").increment();
-      obs::trace::Span span = obs::trace::span("migrate", "sched");
-      double t_done = committed.time;
-      std::vector<std::pair<std::vector<double>, std::vector<double>>>
-          mappings;
-      for (std::size_t link = 0, i = 0; i < n_models; ++i) {
-        if (!models[i].stellar) continue;
-        mappings.push_back(bridge->se_mapping(link++));
-      }
-      std::vector<bool> moved(n_models, false);
-      for (std::size_t i = 0; i < n_models; ++i) {
-        moved[i] = fresh.roles[i].where() != plan.roles[i].where();
-      }
-      plan = std::move(fresh);
-      for (std::size_t i = 0; i < n_models; ++i) {
-        if (!moved[i]) continue;
-        ModelRuntime& model = models[i];
-        model.close();
-        start_model(i);
-        if (model.gravity) {
-          restore_gravity(*model.gravity, committed.gravity[i]);
-        } else if (model.hydro) {
-          restore_hydro(*model.hydro, committed.hydro[i]);
-        } else if (model.field) {
-          restore_field(*model.field, committed.field[i]);
-        } else if (model.stellar) {
-          model.stellar->add_stars(model.zams);
-          if (t_done > 0.0) {
-            model.stellar->evolve_to(t_done * spec.myr_per_nbody_time);
-          }
-        }
-      }
-      apply_datapath();
-      bridge = build_bridge(t_done, committed.epoch);
-      for (std::size_t link = 0; link < mappings.size(); ++link) {
-        bridge->set_se_mapping(std::move(mappings[link].first),
-                               std::move(mappings[link].second), link);
-      }
-      scheduler.score(load, plan);
-      result.placement = plan.describe();
-      result.modeled_seconds_per_iteration =
-          plan.modeled_seconds_per_iteration;
-    };
-
-    bed.network().reset_traffic();
-
-    // ----- observability cursors: every per-iteration figure is a delta of
-    // monotone counters (the registry is process-global and never reset by
-    // a run), so reports stay correct across rollbacks and repeated runs.
-    struct MetricCursor {
-      std::vector<double> compute_s;  // per model, worker-side
-      double flops = 0.0;
-      double compute_total = 0.0;
-      double substeps = 0.0;
-      double rpc_calls = 0.0;
-      double rpc_retries = 0.0;
-      double degraded_transfers = 0.0;
-    };
-    auto read_metrics = [&] {
-      MetricCursor cursor;
-      cursor.compute_s.resize(n_models);
-      for (std::size_t i = 0; i < n_models; ++i) {
-        const std::string& name = spec.models[i].name;
-        cursor.compute_s[i] =
-            obs::metrics::counter_value("worker." + name + ".compute_s");
-        cursor.compute_total += cursor.compute_s[i];
-        cursor.flops +=
-            obs::metrics::counter_value("worker." + name + ".flops");
-        cursor.substeps +=
-            obs::metrics::counter_value("worker." + name + ".substeps");
-        cursor.rpc_calls +=
-            obs::metrics::counter_value("rpc." + name + ".calls");
-      }
-      cursor.rpc_retries = obs::metrics::counter_value("rpc.retries");
-      cursor.degraded_transfers =
-          static_cast<double>(bed.network().degraded_transfers());
-      return cursor;
-    };
-    auto wan_link_bytes = [&] {
-      std::map<std::string, double> by_link;
-      for (const auto& link : bed.network().traffic_report()) {
-        if (link.name == "loopback" || link.name.rfind("lan:", 0) == 0) {
-          continue;
-        }
-        by_link[link.name] += link.bytes_by_class[0] +
-                              link.bytes_by_class[1] +
-                              link.bytes_by_class[2] + link.bytes_by_class[3];
-      }
-      return by_link;
-    };
-    auto wan_total = [](const std::map<std::string, double>& by_link) {
-      double total = 0.0;
-      for (const auto& [name, bytes] : by_link) total += bytes;
-      return total;
-    };
-
-    // ----- the calibration loop: the first cleanly measured iteration
-    // closes the scheduler's modeled-vs-measured gap. Per-role measured
-    // compute (worker.<name>.compute_s deltas) calibrates the flop charges;
-    // the running placement is re-scored with the calibrated model, and —
-    // when the spec opts in — a drift past the bound triggers a proactive
-    // re-plan with migration at the checkpoint boundary.
-    bool calibrated = false;
-    auto calibrate = [&](const MetricCursor& before,
-                         const MetricCursor& after) {
-      calibrated = true;
-      sched::Calibration calibration;
-      double pre_drift = 0.0;
-      std::ostringstream table;
-      table << "calibrated cost table (iteration 1):";
-      for (std::size_t i = 0; i < n_models; ++i) {
-        double measured = after.compute_s[i] - before.compute_s[i];
-        double modeled = plan.roles[i].compute_seconds;
-        if (measured <= 0.0 || modeled <= 0.0) continue;
-        double ratio = measured / modeled;
-        calibration.set_scale(spec.models[i].name, ratio);
-        pre_drift = std::max(pre_drift, std::max(ratio, 1.0 / ratio));
-        obs::metrics::gauge("sched.drift." + spec.models[i].name).set(ratio);
-        table << " " << spec.models[i].name << ": measured=" << measured
-              << " s modeled=" << modeled << " s scale="
-              << calibration.scale_for(spec.models[i].name) << ";";
-      }
-      result.precalibration_drift = pre_drift;
-      obs::metrics::gauge("sched.precalibration_drift").set(pre_drift);
-      scheduler.set_calibration(calibration);
-
-      // Re-score a copy: modeled_seconds_per_iteration stays the original
-      // (uncalibrated) prediction, the calibrated figure rides alongside.
-      sched::Placement scored = plan;
-      scheduler.score(load, scored);
-      result.calibrated_seconds_per_iteration =
-          scored.modeled_seconds_per_iteration;
-      double post_drift = 0.0;
-      for (std::size_t i = 0; i < n_models; ++i) {
-        double measured = after.compute_s[i] - before.compute_s[i];
-        double modeled = scored.roles[i].compute_seconds;
-        if (measured <= 0.0 || modeled <= 0.0) continue;
-        double ratio = measured / modeled;
-        post_drift = std::max(post_drift, std::max(ratio, 1.0 / ratio));
-      }
-      result.compute_drift = post_drift;
-      obs::metrics::gauge("sched.compute_drift").set(post_drift);
-      log::info("sched") << table.str() << " drift " << pre_drift
-                         << "x -> " << post_drift << "x, calibrated modeled="
-                         << result.calibrated_seconds_per_iteration
-                         << " s/iter";
-      return pre_drift;
-    };
-
-    double wall_start = bed.simulation().now();
-    int completed = 0;
-    bool killed = false;
-    bool flapped = false;
-    // Replay detection: a step whose index was already attempted re-runs
-    // work a rollback threw away (with per-step checkpoints the rollback
-    // target is always the last *completed* step, so the replayed step is
-    // the attempted-and-killed one).
-    int attempted_steps = 0;
-    int restarts_mark = result.restarts;
-    double iter_start = bed.simulation().now();
-    MetricCursor metric_cursor = read_metrics();
-    std::map<std::string, double> link_cursor = wan_link_bytes();
-    while (completed < spec.iterations) {
+  void run_iterations() {
+    double wall_start = now();
+    restarts_mark_ = result_.restarts;
+    mark_ = take_mark();
+    while (completed_ < spec_.iterations) {
       try {
-        bool replaying = completed + 1 <= attempted_steps;
-        attempted_steps = std::max(attempted_steps, completed + 1);
+        // Replay detection: a step whose index was already attempted
+        // re-runs work a rollback threw away (with per-step checkpoints
+        // the rollback target is always the last *completed* step, so the
+        // replayed step is the attempted-and-killed one).
+        bool replaying = completed_ + 1 <= attempted_steps_;
+        attempted_steps_ = std::max(attempted_steps_, completed_ + 1);
         {
           obs::trace::Span iter = obs::trace::span(
-              "iteration:" + std::to_string(completed + 1), "experiment");
-          bridge->step();
+              "iteration:" + std::to_string(completed_ + 1), "experiment");
+          bridge_->step();
         }
-        if (fault_tolerant) {
-          // Checkpointing itself talks to the workers and can die mid-way:
-          // stage the whole graph into a fresh snapshot, then install it
-          // with one move — the commit is atomic across the graph, so no
-          // interleaving of deaths can leave mixed-epoch checkpoints.
-          obs::trace::Span ckpt = obs::trace::span("checkpoint", "fault");
-          double ckpt_start = bed.simulation().now();
-          GraphCheckpoint staged;
-          staged.epoch = completed + 1;
-          staged.time = bridge->time();
-          staged.resize(n_models);
-          for (std::size_t i = 0; i < n_models; ++i) {
-            faultpoint::reach(faultpoint::Point::ckpt_capture, completed,
-                              spec.models[i].name);
-            if (models[i].gravity) {
-              staged.gravity[i] = checkpoint_gravity(*models[i].gravity);
-              staged.gravity[i].eps2 = spec.models[i].eps2;
-              staged.gravity[i].eta = spec.models[i].eta;
-            } else if (models[i].hydro) {
-              staged.hydro[i] = checkpoint_hydro(*models[i].hydro);
-              staged.hydro[i].eps2 = spec.models[i].eps2;
-              staged.hydro[i].theta = spec.models[i].theta;
-            } else if (models[i].field) {
-              staged.field[i] = checkpoint_field(*models[i].field);
-            }
-          }
-          // Named per-model commit slots: the window where a non-atomic
-          // protocol would interleave. Injections here prove there is no
-          // state in which some models committed and others did not.
-          for (std::size_t i = 0; i < n_models; ++i) {
-            faultpoint::Context slot;
-            slot.point = faultpoint::Point::ckpt_commit;
-            slot.iteration = completed;
-            slot.detail = spec.models[i].name;
-            if (faultpoint::active()) {
-              // Per-model digest: lets the explorer name the model that
-              // diverged, not just the epoch.
-              if (models[i].gravity) {
-                slot.digest = digest(staged.gravity[i]);
-              } else if (models[i].hydro) {
-                slot.digest = digest(staged.hydro[i]);
-              } else if (models[i].field) {
-                slot.digest = digest(staged.field[i]);
-              }
-            }
-            faultpoint::reach(slot);
-          }
-          committed = std::move(staged);
-          if (faultpoint::active()) {
-            faultpoint::Context done;
-            done.point = faultpoint::Point::ckpt_committed;
-            done.iteration = completed;
-            done.digest = digest(committed);
-            faultpoint::reach(done);
-          }
-          obs::metrics::counter("fault.checkpoints").increment();
-          obs::metrics::histogram("fault.checkpoint_s")
-              .observe(bed.simulation().now() - ckpt_start);
-        }
-        ++completed;
-
-        // --- per-iteration report: deltas across the step just done ---
-        MetricCursor metrics_now = read_metrics();
-        std::map<std::string, double> links_now = wan_link_bytes();
-        diagnostics::IterationReport row;
-        row.iteration = completed;
-        row.seconds = bed.simulation().now() - iter_start;
-        row.wan_bytes = wan_total(links_now) - wan_total(link_cursor);
-        row.flops = metrics_now.flops - metric_cursor.flops;
-        row.compute_seconds =
-            metrics_now.compute_total - metric_cursor.compute_total;
-        row.substeps = static_cast<std::uint64_t>(
-            metrics_now.substeps - metric_cursor.substeps + 0.5);
-        row.rpc_calls = static_cast<std::uint64_t>(
-            metrics_now.rpc_calls - metric_cursor.rpc_calls + 0.5);
-        row.rpc_retries = static_cast<std::uint64_t>(
-            metrics_now.rpc_retries - metric_cursor.rpc_retries + 0.5);
-        row.degraded = metrics_now.degraded_transfers -
-                           metric_cursor.degraded_transfers >
-                       0.5;
-        row.replay = replaying;
-        row.restarts = result.restarts - restarts_mark;
-        if (row.replay) {
-          obs::metrics::counter("fault.replayed_steps").increment();
-        }
-        if (row.degraded) {
-          // A bulk transfer this step rode on fewer streams than planned
-          // (partial stripe failure): the step completed, degraded.
-          obs::metrics::counter("fault.degraded_iterations").increment();
-        }
-        result.iteration_log.push_back(row);
-
-        if (!calibrated && !row.replay && row.restarts == 0) {
-          double drift = calibrate(metric_cursor, metrics_now);
-          std::ostringstream links;
-          links << "per-link WAN volume (iteration 1):";
-          for (const auto& [name, bytes] : links_now) {
-            double delta = bytes - link_cursor[name];
-            if (delta <= 0.0) continue;
-            links << " " << name << "=" << util::format_bytes(delta);
-          }
-          log::info("sched") << links.str();
-
-          // Proactive re-plan: when the measured world disagrees with the
-          // model past the bound, ask the calibrated scheduler for a fresh
-          // placement and migrate at this checkpoint boundary — but only
-          // when the move actually pays for itself.
-          if (spec.replan && drift > spec.replan_drift) {
-            sched::Placement fresh = plan_in(bed, spec, client, scheduler);
-            bool moved = false;
-            for (std::size_t i = 0; i < n_models; ++i) {
-              if (fresh.roles[i].where() != plan.roles[i].where()) {
-                moved = true;
-              }
-            }
-            if (moved && fresh.modeled_seconds_per_iteration <
-                             0.95 * result.calibrated_seconds_per_iteration) {
-              log::info("sched")
-                  << "re-planning after drift " << drift << "x > "
-                  << spec.replan_drift << "x: " << fresh.describe();
-              migrate_to(std::move(fresh));
-            }
-          }
-        }
-        restarts_mark = result.restarts;
-        metric_cursor = std::move(metrics_now);
-        link_cursor = std::move(links_now);
-        iter_start = bed.simulation().now();
-
-        if (fault_tolerant && !killed && !spec.kill_host.empty() &&
-            completed == spec.kill_after_iteration) {
-          killed = true;
-          if (spec.kill_process.empty()) {
-            bed.network().host(spec.kill_host).crash();
-          } else {
-            // Process-level fault: kill one process on the host (daemon,
-            // proxy, worker) and leave the machine up — this is the tier
-            // the supervisors recover in place.
-            bed.network().host(spec.kill_host).kill_process(
-                spec.kill_process);
-          }
-        }
-        if (!flapped && !spec.flap_link.empty() &&
-            completed == spec.flap_after_iteration) {
-          flapped = true;
-          if (spec.flap_streams > 0) {
-            bed.network().fail_streams(spec.flap_link, spec.flap_streams,
-                                       spec.flap_streams_heal_s);
-          } else {
-            bed.network().flap_link(spec.flap_link, spec.flap_down_s);
-          }
-        }
+        if (fault_tolerant()) commit_checkpoint();
+        ++completed_;
+        report_iteration(replaying);
+        inject_faults();
       } catch (const WorkerDiedError& death) {
-        if (!fault_tolerant) throw;
-        obs::trace::Span rollback = obs::trace::span("recover", "fault");
-        double recover_start = bed.simulation().now();
-        obs::metrics::counter("fault.rollbacks").increment();
-        ++result.restarts;
-        spend_attempt();
-        // Recovery can itself be interrupted by another death (a double
-        // fault): keep recovering until a round goes through cleanly.
-        WorkerDiedError current = death;
-        for (;;) {
-          try {
-            note_death(current);
-            recover(current);
-            break;
-          } catch (const WorkerDiedError& again) {
-            ++result.restarts;
-            spend_attempt();
-            current = again;
-          }
-        }
-        completed = committed.epoch;
-        obs::metrics::histogram("fault.recover_s")
-            .observe(bed.simulation().now() - recover_start);
-        // The aborted step's partial work must not pollute the replay
-        // row's figures: restart every cursor at the rollback point.
-        metric_cursor = read_metrics();
-        link_cursor = wan_link_bytes();
-        iter_start = bed.simulation().now();
+        if (!fault_tolerant()) throw;
+        recover(death);
       }
     }
-    double wall = bed.simulation().now() - wall_start;
-    result.seconds_per_iteration = wall / spec.iterations;
+    result_.seconds_per_iteration = (now() - wall_start) / spec_.iterations;
+  }
 
-    // Final observables. The pipelined path only moved mass+position
-    // during coupling; pull the full states (velocities, internal energy)
-    // once for the diagnostics, plus each model's energies.
-    std::vector<double> star_mass;
-    std::vector<Vec3> star_pos;
-    std::vector<double> gas_mass, gas_u;
-    std::vector<Vec3> gas_pos, gas_vel;
-    for (std::size_t i = 0; i < n_models; ++i) {
-      const ModelSpec& model = spec.models[i];
-      if (!models[i].gravity && !models[i].hydro) continue;
-      ModelResult state;
-      state.name = model.name;
-      state.role = model.role;
-      if (models[i].gravity) {
-        state.gravity = models[i].gravity->get_state();
-        auto [kinetic, potential] = models[i].gravity->energies();
-        state.kinetic = kinetic;
-        state.potential = potential;
-        star_mass.insert(star_mass.end(), state.gravity.mass.begin(),
-                         state.gravity.mass.end());
-        star_pos.insert(star_pos.end(), state.gravity.position.begin(),
-                        state.gravity.position.end());
-      } else {
-        state.hydro = models[i].hydro->get_state();
-        auto [kinetic, thermal, potential] = models[i].hydro->energies();
-        state.kinetic = kinetic;
-        state.thermal = thermal;
-        state.potential = potential;
-        gas_mass.insert(gas_mass.end(), state.hydro.mass.begin(),
-                        state.hydro.mass.end());
-        gas_pos.insert(gas_pos.end(), state.hydro.position.begin(),
-                       state.hydro.position.end());
-        gas_vel.insert(gas_vel.end(), state.hydro.velocity.begin(),
-                       state.hydro.velocity.end());
-        gas_u.insert(gas_u.end(), state.hydro.internal_energy.begin(),
-                     state.hydro.internal_energy.end());
+  /// Checkpointing itself talks to the workers and can die mid-way: stage
+  /// the whole graph into a fresh snapshot, then install it with one move
+  /// — the commit is atomic across the graph, so no interleaving of deaths
+  /// can leave mixed-epoch checkpoints.
+  void commit_checkpoint() {
+    obs::trace::Span ckpt = obs::trace::span("checkpoint", "fault");
+    double ckpt_start = now();
+    GraphCheckpoint staged;
+    staged.epoch = completed_ + 1;
+    staged.time = bridge_->time();
+    staged.resize(models_.size());
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      faultpoint::reach(faultpoint::Point::ckpt_capture, completed_,
+                        spec_.models[i].name);
+      models_[i].capture(staged, i, spec_.models[i]);
+    }
+    // Named per-model commit slots: the window where a non-atomic protocol
+    // would interleave. Injections here prove there is no state in which
+    // some models committed and others did not.
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      faultpoint::Context slot;
+      slot.point = faultpoint::Point::ckpt_commit;
+      slot.iteration = completed_;
+      slot.detail = spec_.models[i].name;
+      // Per-model digest: lets the explorer name the model that diverged,
+      // not just the epoch.
+      if (faultpoint::active()) slot.digest = models_[i].digest_slot(staged, i);
+      faultpoint::reach(slot);
+    }
+    committed_ = std::move(staged);
+    if (faultpoint::active()) {
+      faultpoint::Context done;
+      done.point = faultpoint::Point::ckpt_committed;
+      done.iteration = completed_;
+      done.digest = digest(committed_);
+      faultpoint::reach(done);
+    }
+    obs::metrics::counter("fault.checkpoints").increment();
+    obs::metrics::histogram("fault.checkpoint_s").observe(now() - ckpt_start);
+  }
+
+  Mark take_mark() {
+    Mark mark;
+    mark.time = now();
+    mark.compute_s.resize(models_.size());
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      const std::string& name = spec_.models[i].name;
+      mark.compute_s[i] =
+          obs::metrics::counter_value("worker." + name + ".compute_s");
+      mark.compute_total += mark.compute_s[i];
+      mark.flops += obs::metrics::counter_value("worker." + name + ".flops");
+      mark.substeps +=
+          obs::metrics::counter_value("worker." + name + ".substeps");
+      mark.rpc_calls += obs::metrics::counter_value("rpc." + name + ".calls");
+    }
+    mark.rpc_retries = obs::metrics::counter_value("rpc.retries");
+    mark.degraded_transfers =
+        static_cast<double>(bed_.network().degraded_transfers());
+    for (const auto& link : bed_.network().traffic_report()) {
+      if (is_wan(link)) mark.wan_by_link[link.name] += total_bytes(link);
+    }
+    for (const auto& [name, bytes] : mark.wan_by_link) mark.wan_bytes += bytes;
+    return mark;
+  }
+
+  /// Per-iteration report: deltas across the step just done.
+  void report_iteration(bool replaying) {
+    Mark at = take_mark();
+    diagnostics::IterationReport row;
+    row.iteration = completed_;
+    row.seconds = at.time - mark_.time;
+    row.wan_bytes = at.wan_bytes - mark_.wan_bytes;
+    row.flops = at.flops - mark_.flops;
+    row.compute_seconds = at.compute_total - mark_.compute_total;
+    row.substeps =
+        static_cast<std::uint64_t>(at.substeps - mark_.substeps + 0.5);
+    row.rpc_calls =
+        static_cast<std::uint64_t>(at.rpc_calls - mark_.rpc_calls + 0.5);
+    row.rpc_retries =
+        static_cast<std::uint64_t>(at.rpc_retries - mark_.rpc_retries + 0.5);
+    row.degraded = at.degraded_transfers - mark_.degraded_transfers > 0.5;
+    row.replay = replaying;
+    row.restarts = result_.restarts - restarts_mark_;
+    if (row.replay) obs::metrics::counter("fault.replayed_steps").increment();
+    if (row.degraded) {
+      // A bulk transfer this step rode on fewer streams than planned
+      // (partial stripe failure): the step completed, degraded.
+      obs::metrics::counter("fault.degraded_iterations").increment();
+    }
+    result_.iteration_log.push_back(row);
+
+    if (!calibrated_ && !row.replay && row.restarts == 0) {
+      calibrate(mark_, at);
+      std::ostringstream links;
+      links << "per-link WAN volume (iteration 1):";
+      for (const auto& [name, bytes] : at.wan_by_link) {
+        double delta = bytes - mark_.wan_by_link[name];
+        if (delta <= 0.0) continue;
+        links << " " << name << "=" << util::format_bytes(delta);
       }
-      result.models.push_back(std::move(state));
+      log::info("sched") << links.str();
+    }
+    restarts_mark_ = result_.restarts;
+    mark_ = std::move(at);
+  }
+
+  /// The calibration loop: the first cleanly measured iteration closes the
+  /// scheduler's modeled-vs-measured gap. Per-role measured compute
+  /// (worker.<name>.compute_s deltas) calibrates the flop charges, and the
+  /// running placement is re-scored with the calibrated model.
+  void calibrate(const Mark& before, const Mark& after) {
+    calibrated_ = true;
+    sched::Calibration calibration;
+    double pre_drift = 0.0;
+    std::ostringstream table;
+    table << "calibrated cost table (iteration 1):";
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      double measured = after.compute_s[i] - before.compute_s[i];
+      double modeled = plan_.roles[i].compute_seconds;
+      if (measured <= 0.0 || modeled <= 0.0) continue;
+      double ratio = measured / modeled;
+      calibration.set_scale(spec_.models[i].name, ratio);
+      pre_drift = std::max(pre_drift, std::max(ratio, 1.0 / ratio));
+      obs::metrics::gauge("sched.drift." + spec_.models[i].name).set(ratio);
+      table << " " << spec_.models[i].name << ": measured=" << measured
+            << " s modeled=" << modeled << " s scale="
+            << calibration.scale_for(spec_.models[i].name) << ";";
+    }
+    result_.precalibration_drift = pre_drift;
+    obs::metrics::gauge("sched.precalibration_drift").set(pre_drift);
+    scheduler_.set_calibration(calibration);
+
+    // Re-score a copy: modeled_seconds_per_iteration stays the original
+    // (uncalibrated) prediction, the calibrated figure rides alongside.
+    sched::Placement scored = plan_;
+    scheduler_.score(load_, scored);
+    result_.calibrated_seconds_per_iteration =
+        scored.modeled_seconds_per_iteration;
+    double post_drift = 0.0;
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      double measured = after.compute_s[i] - before.compute_s[i];
+      double modeled = scored.roles[i].compute_seconds;
+      if (measured <= 0.0 || modeled <= 0.0) continue;
+      double ratio = measured / modeled;
+      post_drift = std::max(post_drift, std::max(ratio, 1.0 / ratio));
+    }
+    result_.compute_drift = post_drift;
+    obs::metrics::gauge("sched.compute_drift").set(post_drift);
+    log::info("sched") << table.str() << " drift " << pre_drift << "x -> "
+                       << post_drift << "x, calibrated modeled="
+                       << result_.calibrated_seconds_per_iteration
+                       << " s/iter";
+  }
+
+  /// The spec's own fault injections, each fired once after its step.
+  void inject_faults() {
+    if (fault_tolerant() && !killed_ && !spec_.kill_host.empty() &&
+        completed_ == spec_.kill_after_iteration) {
+      killed_ = true;
+      if (spec_.kill_process.empty()) {
+        bed_.network().host(spec_.kill_host).crash();
+      } else {
+        // Process-level fault: kill one process on the host (daemon,
+        // proxy, worker) and leave the machine up — this is the tier the
+        // supervisors recover in place.
+        bed_.network().host(spec_.kill_host).kill_process(spec_.kill_process);
+      }
+    }
+    if (!flapped_ && !spec_.flap_link.empty() &&
+        completed_ == spec_.flap_after_iteration) {
+      flapped_ = true;
+      if (spec_.flap_streams > 0) {
+        bed_.network().fail_streams(spec_.flap_link, spec_.flap_streams,
+                                    spec_.flap_streams_heal_s);
+      } else {
+        bed_.network().flap_link(spec_.flap_link, spec_.flap_down_s);
+      }
+    }
+  }
+
+  /// Exclude what died, re-place the affected models, and roll every
+  /// evolving worker back to the last committed graph checkpoint (restored
+  /// integrators resume on its absolute clock; the new bridge carries the
+  /// clock offset, the SE mass mappings and the SE cadence phase forward).
+  /// Recovery itself is built to survive further faults: every sub-step
+  /// that talks to the jungle sits in a bounded retry, so a second death
+  /// while re-placing the first is handled, not fatal.
+  void recover(const WorkerDiedError& death) {
+    obs::trace::Span rollback = obs::trace::span("recover", "fault");
+    double recover_start = now();
+    obs::metrics::counter("fault.rollbacks").increment();
+    // Recovery can itself be interrupted by another death (a double
+    // fault): keep recovering until a round goes through cleanly.
+    WorkerDiedError current = death;
+    for (;;) {
+      ++result_.restarts;
+      spend_attempt();
+      try {
+        note_death(current);
+        recover_round(current);
+        break;
+      } catch (const WorkerDiedError& again) {
+        current = again;
+      }
+    }
+    completed_ = committed_.epoch;
+    obs::metrics::histogram("fault.recover_s").observe(now() - recover_start);
+    // The aborted step's partial work must not pollute the replay row's
+    // figures: restart the mark at the rollback point.
+    mark_ = take_mark();
+  }
+
+  void recover_round(const WorkerDiedError& death) {
+    bool any_dead = false;
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      if (!model_dead(i)) continue;
+      any_dead = true;
+      if (try_revive(i)) continue;  // in-place restart: keep the slot
+      if (plan_.roles[i].local()) {
+        throw CodeError("the client machine lost its own worker ('" +
+                        spec_.models[i].name + "'); nothing to re-place "
+                        "onto");
+      }
+      exclude_unless_crashed(i);
+      replace_slot(i);
+    }
+    if (!any_dead) {
+      // Stale report: nothing is actually dead. Escalate as a plain
+      // CodeError — rethrowing the WorkerDiedError would bounce between
+      // here and the double-fault retry loop forever.
+      throw CodeError(std::string("unrecoverable death report (no model "
+                                  "affected): ") +
+                      death.what());
+    }
+
+    std::vector<std::pair<std::vector<double>, std::vector<double>>> mappings;
+    for (std::size_t link = 0, i = 0; i < models_.size(); ++i) {
+      if (!models_[i].stellar) continue;
+      mappings.push_back(bridge_->se_mapping(link++));
+    }
+    // All dynamic models share the bridge clock: they roll back together
+    // so their restored integrators agree on it. Field and stellar workers
+    // are replaced only when they died.
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      ModelRuntime& model = models_[i];
+      if (model.dynamics() != nullptr || model_dead(i) || model.revived) {
+        place_and_restore(i);
+      }
+    }
+    // Fresh clients start with empty delta caches, and restarted workers
+    // mint a fresh state-id instance: nothing cached before the rollback
+    // (client states, coupler sources/accels) can be mistaken for current
+    // content during the replay.
+    apply_datapath();
+
+    faultpoint::reach(faultpoint::Point::recover_rebuild, committed_.epoch);
+    bridge_ = build_bridge();
+    for (std::size_t link = 0; link < mappings.size(); ++link) {
+      bridge_->set_se_mapping(std::move(mappings[link].first),
+                              std::move(mappings[link].second), link);
+    }
+    // Re-score the whole post-fault placement so the dashboard's
+    // modeled-vs-measured panel describes what is actually running.
+    rescore();
+  }
+
+  /// Restart model i (unless a supervisor already did) and restore the
+  /// committed checkpoint into it. The close/start/restore can itself be
+  /// hit by a fault (a fresh host crashing mid-restore, a frontend dying
+  /// between the re-place decision and the submit): exclude what failed,
+  /// pick another target and try again, within the budget.
+  void place_and_restore(std::size_t i) {
+    ModelRuntime& model = models_[i];
+    for (;;) {
+      try {
+        // A revived slot keeps its client and relay: the supervised
+        // replacement worker is blank, so it only needs the restore.
+        if (!model.revived) {
+          model.close();
+          start_model(i);
+        }
+        model.restore(committed_, i, spec_.myr_per_nbody_time);
+        return;
+      } catch (const WorkerDiedError& again) {
+        // The replacement (or the machine it landed on) died while we
+        // were restoring into it.
+        note_death(again);
+        if (try_revive(i)) continue;  // another supervised restart
+        model.revived = false;  // fall back: rebuild client and placement
+        if (plan_.roles[i].local()) throw;
+        exclude_unless_crashed(i);
+        replace_slot(i);
+      } catch (const CodeError& startup) {
+        if (plan_.roles[i].local()) throw;
+        replace_after_startup_failure(i, startup);
+      }
+    }
+  }
+
+  /// Replacement/retry budget across the whole run — generous enough for
+  /// cascaded faults, small enough to turn a re-place livelock (a hole, if
+  /// one existed) into a hard error rather than an endless loop.
+  void spend_attempt() {
+    const int budget = 8 * static_cast<int>(models_.size()) + 8;
+    if (++replace_attempts_ > budget) {
+      throw CodeError("fault recovery exceeded its replacement budget (" +
+                      std::to_string(budget) + " attempts)");
+    }
+  }
+
+  /// Global exclusions derived from one death report. Per-worker causes
+  /// are handled per model (exclude_unless_crashed); this handles what the
+  /// report itself names (the crashed host, and its whole resource when the
+  /// dead machine is a frontend — jobs submit through it even when the
+  /// compute nodes survive).
+  void note_death(const WorkerDiedError& death) {
+    log::warn("experiment") << "recovering from: " << death.what();
+    faultpoint::reach(faultpoint::Point::recover_exclude, -1, death.host());
+    if (death.cause() == WorkerDiedError::Cause::host_crash &&
+        !death.host().empty()) {
+      scheduler_.exclude_host(death.host());
+      std::string owner = scheduler_.resource_of(death.host());
+      if (!owner.empty()) {
+        const gat::Resource& res = bed_.deployer().resource(owner);
+        if (res.frontend != nullptr && res.frontend->name() == death.host()) {
+          scheduler_.exclude_resource(owner);
+        }
+      }
+    }
+  }
+
+  /// Per-worker cause: a crashed host is already excluded; a process crash
+  /// blames neither host nor resource (the machine restarted the worker
+  /// fine — revive only failed because the node went down meanwhile);
+  /// anything else (link fault, timeout, unknown) condemns the whole
+  /// resource — the machine may be fine, the route to it is not.
+  void exclude_unless_crashed(std::size_t i) {
+    RpcClient& rpc = models_[i].rpc();
+    if (!rpc.alive() &&
+        rpc.death_cause() != WorkerDiedError::Cause::host_crash &&
+        rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
+      scheduler_.exclude_resource(plan_.roles[i].resource);
+    }
+  }
+
+  /// The daemon could not start model i's worker (e.g. the frontend died
+  /// between the re-place decision and the submit). The resource is not
+  /// usable right now — place elsewhere.
+  void replace_after_startup_failure(std::size_t i, const CodeError& startup) {
+    log::warn("experiment") << "re-placing '" << spec_.models[i].name
+                            << "' after startup failure: " << startup.what();
+    scheduler_.exclude_resource(plan_.roles[i].resource);
+    replace_slot(i);
+  }
+
+  /// A model needs re-placing when its client was poisoned *or* its host is
+  /// gone and the client just has not noticed yet (no RPC since the crash)
+  /// — restarting onto a dead machine would only fail later.
+  bool model_dead(std::size_t i) {
+    if (!models_[i].rpc().alive()) return true;
+    const sched::Assignment& a = plan_.roles[i];
+    return !a.local() && a.host != nullptr && !a.host->is_up();
+  }
+
+  void replace_slot(std::size_t i) {
+    spend_attempt();
+    plan_.roles[i] = scheduler_.replace(load_, plan_, static_cast<int>(i));
+    // The replacement keeps the spec's kernel parameters, exactly as
+    // plan_in installs them at first placement.
+    install_model_params(plan_.roles[i], spec_.models[i]);
+  }
+
+  /// In-place revive: cause=process_crash means the daemon's supervisor
+  /// already restarted the crashed worker on the same node and kept the
+  /// relay open — revive the client over the same link and restore state
+  /// into the blank replacement. No exclusions, no re-placement; re-placing
+  /// stays the fallback tier (the daemon reports host_crash when the node
+  /// is gone or its restart budget is spent).
+  bool try_revive(std::size_t i) {
+    RpcClient& rpc = models_[i].rpc();
+    if (rpc.alive() ||
+        rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
+      return false;
+    }
+    const sched::Assignment& a = plan_.roles[i];
+    if (a.local() || (a.host != nullptr && !a.host->is_up())) return false;
+    spend_attempt();
+    rpc.revive();
+    models_[i].reset_delta_caches();
+    models_[i].revived = true;
+    log::info("experiment")
+        << "worker '" << spec_.models[i].name
+        << "' restarted in place; reviving the client on the same link";
+    return true;
+  }
+
+  /// Re-score the running placement and refresh what the result reports
+  /// about it.
+  void rescore() {
+    scheduler_.score(load_, plan_);
+    result_.placement = plan_.describe();
+    result_.modeled_seconds_per_iteration = plan_.modeled_seconds_per_iteration;
+  }
+
+  /// Final observables. The pipelined path only moved mass+position during
+  /// coupling; pull the full states (velocities, internal energy) once for
+  /// the diagnostics, plus each model's energies.
+  void collect_final_state() {
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      if (models_[i].dynamics() == nullptr) continue;
+      result_.models.push_back(models_[i].final_state(spec_.models[i]));
+    }
+    // The other role's state of each model is empty, so concatenating both
+    // yields all stars and all gas in declaration order.
+    std::vector<double> star_mass, gas_mass, gas_u;
+    std::vector<Vec3> star_pos, gas_pos, gas_vel;
+    auto append = [](auto& to, const auto& from) {
+      to.insert(to.end(), from.begin(), from.end());
+    };
+    for (const ModelResult& model : result_.models) {
+      append(star_mass, model.gravity.mass);
+      append(star_pos, model.gravity.position);
+      append(gas_mass, model.hydro.mass);
+      append(gas_pos, model.hydro.position);
+      append(gas_vel, model.hydro.velocity);
+      append(gas_u, model.hydro.internal_energy);
     }
     if (!gas_mass.empty()) {
-      result.bound_gas_fraction = diagnostics::bound_gas_fraction(
+      result_.bound_gas_fraction = diagnostics::bound_gas_fraction(
           gas_mass, gas_pos, gas_vel, gas_u, star_mass, star_pos);
     }
+  }
 
-    for (ModelRuntime& model : models) model.close();
-  });
+  JungleTestbed& bed_;
+  const ExperimentSpec& spec_;
+  sim::Host& client_;
+  sched::Scheduler scheduler_;
+  sched::Workload load_;
+  sched::Placement plan_;
+  DaemonClient daemon_;
+  std::vector<ModelRuntime> models_;
+  /// The last committed graph-wide checkpoint: one object, installed by a
+  /// single move after every model captured — all models commit or none.
+  GraphCheckpoint committed_;
+  std::unique_ptr<Bridge> bridge_;
+  Result result_;
+
+  int replace_attempts_ = 0;
+  bool calibrated_ = false;
+  bool killed_ = false;
+  bool flapped_ = false;
+  int completed_ = 0;
+  int attempted_steps_ = 0;
+  int restarts_mark_ = 0;
+  Mark mark_;  // taken after the last completed step or rollback
+};
+
+}  // namespace
+
+Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
+  spec.validate();
+  // Shared with the script process: a run that stalls is unwound only when
+  // the testbed shuts down, after this call has returned.
+  auto runner = std::make_shared<GraphRunner>(bed, spec);
+  bed.simulation().spawn("amuse-script", [runner] { runner->script(); });
   bed.simulation().run();
-
-  for (const auto& link : bed.network().traffic_report()) {
-    // WAN = anything that is not a host loopback or an intra-site LAN.
-    bool wan = link.name != "loopback" && link.name.rfind("lan:", 0) != 0;
-    if (!wan) continue;
-    result.wan_bytes += link.bytes_by_class[0] + link.bytes_by_class[1] +
-                        link.bytes_by_class[2] + link.bytes_by_class[3];
-    result.wan_ipl_bytes +=
-        link.bytes_by_class[static_cast<int>(sim::TrafficClass::ipl)];
-  }
-  result.wan_ipl_bytes_per_step =
-      spec.iterations > 0 ? result.wan_ipl_bytes / spec.iterations : 0.0;
-
-  // Dashboard: the Figs 10/11 analog plus the placement panel — which
-  // machine ran which model, and modeled vs. measured cost.
-  std::ostringstream panel;
-  panel << bed.deployer().dashboard();
-  panel << "-- placement (" << spec.name << ") --\n";
-  for (std::size_t i = 0; i < plan.roles.size(); ++i) {
-    const sched::Assignment& a = plan.roles[i];
-    panel << "  " << plan.names[i] << " ("
-          << sched::role_name(plan.kinds[i]) << "): " << a.spec.code << " @ "
-          << a.where() << " modeled compute=" << a.compute_seconds
-          << " s comm=" << a.comm_seconds << " s\n";
-  }
-  panel << "  modeled=" << result.modeled_seconds_per_iteration
-        << " s/iter measured=" << result.seconds_per_iteration << " s/iter";
-  if (result.restarts > 0) panel << " restarts=" << result.restarts;
-  if (result.replans > 0) panel << " replans=" << result.replans;
-  panel << "\n";
-  if (result.calibrated_seconds_per_iteration > 0.0) {
-    panel << "  calibrated=" << result.calibrated_seconds_per_iteration
-          << " s/iter drift=" << result.precalibration_drift << "x -> "
-          << result.compute_drift << "x\n";
-  }
-  panel << diagnostics::iteration_table(result.iteration_log);
-  result.dashboard = panel.str();
-  return result;
+  return runner->finish();
 }
 
 Result run_experiment(const ExperimentSpec& spec) {

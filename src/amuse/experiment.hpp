@@ -137,15 +137,6 @@ struct ExperimentSpec {
   /// Host the coupling script runs on ("" = the testbed's client host).
   std::string client;
 
-  /// Closed-loop scheduling: after the first measured iteration calibrates
-  /// the cost model, re-plan proactively when the measured/modeled compute
-  /// drift of any role exceeds `replan_drift` (a factor, > 1), and migrate
-  /// to the new placement at the checkpoint boundary when it is actually
-  /// faster. Calibration itself always runs; `replan` gates only the
-  /// migration. Requires checkpointing (validated).
-  bool replan = false;
-  double replan_drift = 4.0;
-
   /// Graph validation: throws ConfigError naming the offending model or
   /// coupling. Checks (among others) that coupling endpoints resolve to
   /// dynamic models, field references resolve to field models, no field
@@ -159,6 +150,8 @@ struct ExperimentSpec {
   int find(const std::string& model_name) const;  // index, -1 if absent
 
   /// Parse the [experiment] / [model ...] / [coupling ...] sections.
+  /// Throws ConfigError naming the section and key of any key they do not
+  /// accept.
   static ExperimentSpec from_config(const util::Config& config);
 };
 
@@ -205,8 +198,6 @@ struct Result {
   /// Modeled s/iter of the running placement re-scored with the calibrated
   /// cost model (modeled_seconds_per_iteration stays uncalibrated).
   double calibrated_seconds_per_iteration = 0.0;
-  /// Drift-triggered migrations performed (spec.replan).
-  int replans = 0;
 };
 
 /// The Jungle of Figs 9/12: Seattle laptop, VU desktop + DAS-4 VU cluster,

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "amuse/faultpoint.hpp"
-#include "util/logging.hpp"
 
 namespace jungle::amuse {
 
@@ -145,45 +144,6 @@ void restore_field(FieldClient& field, const FieldCheckpoint& save) {
   if (!save.source_mass.empty()) {
     field.set_sources(save.source_mass, save.source_position);
   }
-}
-
-std::unique_ptr<GravityClient> restart_gravity(DaemonClient& daemon,
-                                               const WorkerSpec& spec,
-                                               const std::string& resource,
-                                               const GravityCheckpoint& save,
-                                               int nodes) {
-  log::warn("amuse") << "restarting " << spec.code << " on " << resource
-                     << " from checkpoint at t=" << save.model_time;
-  auto client = std::make_unique<GravityClient>(
-      daemon.start_worker(spec, resource, nodes));
-  restore_gravity(*client, save);
-  return client;
-}
-
-std::unique_ptr<HydroClient> restart_hydro(DaemonClient& daemon,
-                                           const WorkerSpec& spec,
-                                           const std::string& resource,
-                                           const HydroCheckpoint& save,
-                                           int nodes) {
-  log::warn("amuse") << "restarting " << spec.code << " on " << resource
-                     << " from checkpoint at t=" << save.model_time;
-  auto client = std::make_unique<HydroClient>(
-      daemon.start_worker(spec, resource, nodes));
-  restore_hydro(*client, save);
-  return client;
-}
-
-std::unique_ptr<FieldClient> restart_field(DaemonClient& daemon,
-                                           const WorkerSpec& spec,
-                                           const std::string& resource,
-                                           const FieldCheckpoint& save,
-                                           int nodes) {
-  log::warn("amuse") << "restarting field kernel " << spec.code << " on "
-                     << resource;
-  auto client = std::make_unique<FieldClient>(
-      daemon.start_worker(spec, resource, nodes));
-  restore_field(*client, save);
-  return client;
 }
 
 }  // namespace jungle::amuse

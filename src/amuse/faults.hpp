@@ -1,12 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "amuse/clients.hpp"
-#include "amuse/daemon.hpp"
 
 namespace jungle::amuse {
 
@@ -100,23 +97,5 @@ FieldCheckpoint checkpoint_field(FieldClient& field);
 void restore_gravity(GravityClient& gravity, const GravityCheckpoint& save);
 void restore_hydro(HydroClient& hydro, const HydroCheckpoint& save);
 void restore_field(FieldClient& field, const FieldCheckpoint& save);
-
-/// Start a replacement worker through the daemon and restore the
-/// checkpoint into it. The returned client continues from the snapshot.
-std::unique_ptr<GravityClient> restart_gravity(DaemonClient& daemon,
-                                               const WorkerSpec& spec,
-                                               const std::string& resource,
-                                               const GravityCheckpoint& save,
-                                               int nodes = 1);
-std::unique_ptr<HydroClient> restart_hydro(DaemonClient& daemon,
-                                           const WorkerSpec& spec,
-                                           const std::string& resource,
-                                           const HydroCheckpoint& save,
-                                           int nodes = 1);
-std::unique_ptr<FieldClient> restart_field(DaemonClient& daemon,
-                                           const WorkerSpec& spec,
-                                           const std::string& resource,
-                                           const FieldCheckpoint& save,
-                                           int nodes = 1);
 
 }  // namespace jungle::amuse

@@ -343,7 +343,9 @@ TEST(Distributed, FaultPolicyRestartsOnReplacementResource) {
       // (reply sent before the crash); the next call then fails.
       gravity->get_state();
     } catch (const CodeError&) {
-      gravity = restart_gravity(client, spec, "das4", save);
+      gravity = std::make_unique<GravityClient>(
+          client.start_worker(spec, "das4"));
+      restore_gravity(*gravity, save);
       restarted = true;
     }
     // Continue the run on the replacement: it resumes on the absolute

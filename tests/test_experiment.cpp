@@ -115,6 +115,46 @@ every = 2
   EXPECT_EQ(load.couplings[1].b, 2);  // gasdisk's slot
 }
 
+TEST(Experiment, UnknownIniKeysAreErrors) {
+  // A key no section reads would silently drop the switch it names — a
+  // typo or a retired option must fail loudly, naming section and key.
+  const char* graph = R"(
+[model solo]
+role = gravity
+n = 16
+)";
+  auto parse_with = [&](const std::string& extra) {
+    return ExperimentSpec::from_config(
+        util::Config::parse(std::string(graph) + extra));
+  };
+  EXPECT_NO_THROW(parse_with("[experiment]\ncheckpointing = true\n"));
+  auto expect_rejected = [&](const std::string& extra,
+                             const std::string& message) {
+    try {
+      parse_with(extra);
+      ADD_FAILURE() << "accepted: " << extra;
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find(message), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_rejected("[experiment]\nreplan = true\n",
+                  "unknown key 'replan' in [experiment]");
+  expect_rejected("[experiment]\ncheckpionting = true\n",
+                  "unknown key 'checkpionting' in [experiment]");
+  expect_rejected("[model extra]\nrole = gravity\nn = 8\nworker = 2\n",
+                  "unknown key 'worker' in [model extra]");
+  expect_rejected("[coupling pair]\nfield = f\na = solo\nb = solo\nevry = 2\n",
+                  "unknown key 'evry' in [coupling pair]");
+
+  // Both committed example graphs use only accepted keys.
+  for (const char* name : {"triple-plummer.ini", "sharded-plummer.ini"}) {
+    EXPECT_NO_THROW(ExperimentSpec::from_config(
+        util::Config::parse(example_ini(name))))
+        << name;
+  }
+}
+
 TEST(Experiment, ValidationRejectsDanglingCouplingReferences) {
   ExperimentSpec spec = tiny_classic();
   spec.couplings[0].b = "nebula";  // no such model

@@ -240,6 +240,27 @@ TEST(Faults, CrashDuringReplaceSpawnRetries) {
   expect_recovered_on_golden(out);
 }
 
+TEST(Faults, CrashDuringInitialSpawnReplaces) {
+  // "spawn.worker@-1#0=crash:<host>" before any step has run: the first
+  // worker start kills the GPU node (the field kernel's planned home) or
+  // the cluster frontend every submit goes through. Either way the daemon
+  // cannot start the field kernel on the cluster, so initial deployment
+  // takes its startup-failure branch: exclude the resource, re-place the
+  // model once (onto the client) and run on the golden trajectory.
+  for (const char* victim : {"node0", "fs0"}) {
+    SCOPED_TRACE(victim);
+    Outcome out = run_triple_plummer(
+        {Shot{faultpoint::Point::spawn_worker, -1, 0, false, victim}});
+    EXPECT_EQ(out.fired, 1);
+    EXPECT_EQ(out.restarts, 1);
+    EXPECT_NE(golden().placement.find("ringfield=octgrav@cluster/node0"),
+              std::string::npos);
+    EXPECT_NE(out.placement.find("ringfield=fi@local"), std::string::npos)
+        << out.placement;
+    expect_recovered_on_golden(out);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // PR 8: the process-fault tier. Victims are single processes (daemon
 // accept loop, worker proxy, native worker) killed while their host stays
