@@ -1412,6 +1412,7 @@ class GraphRunner {
           start_model(i);
         }
         model.restore(committed_, i, spec_.myr_per_nbody_time);
+        model.revived = false;  // recovered: a later fault starts afresh
         return;
       } catch (const WorkerDiedError& again) {
         // The replacement (or the machine it landed on) died while we

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 namespace jungle::obs::trace {
 
@@ -65,6 +66,10 @@ void unbind_clock(const void* owner) {
 }
 
 SpanId current_span() noexcept { return t_current; }
+
+SpanId exchange_current_span(SpanId span) noexcept {
+  return std::exchange(t_current, span);
+}
 
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {

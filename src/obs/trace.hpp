@@ -48,10 +48,14 @@ void bind_clock(const void* owner, std::function<double()> now,
                 std::function<std::string()> process);
 void unbind_clock(const void* owner);
 
-/// The current span id on this thread (0 = none). Each simulated process is
-/// a real thread, and exactly one runs at a time with happens-before
-/// through the scheduler baton — thread_local context is race-free.
+/// The current span id on this thread (0 = none). Simulated processes are
+/// fibers sharing the thread that runs the simulation; the scheduler swaps
+/// this value at every hand-off (exchange_current_span), so each process
+/// sees only its own spans.
 SpanId current_span() noexcept;
+
+/// Install `span` as this thread's current span; returns the previous one.
+SpanId exchange_current_span(SpanId span) noexcept;
 
 class Span {
  public:
@@ -69,7 +73,7 @@ class Span {
   void note_remote(SpanId remote) noexcept;
 
   /// Close the span (idempotent; the destructor calls it). A *scoped* span
-  /// must end on the thread that opened it; async spans may end anywhere.
+  /// must end in the process that opened it; async spans may end anywhere.
   void end();
 
  private:

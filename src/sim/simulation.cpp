@@ -1,56 +1,128 @@
 #include "sim/simulation.hpp"
 
+#include <cxxabi.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
+#include <new>
+#include <utility>
+
+#include "obs/trace.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace jungle::sim {
 
 namespace {
-// Which process (if any) the *current thread* is executing. Lets blocking
-// primitives find their context without passing handles everywhere.
+// Which process (if any) this thread is executing; resume() sets them for
+// the length of one hand-off. Lets blocking primitives find their context
+// without passing handles everywhere.
 thread_local Simulation* t_sim = nullptr;
 thread_local ProcessId t_pid = 0;
 thread_local bool t_in_process = false;
+
+// Every process stack, reserved lazily (MAP_NORESERVE) above a PROT_NONE
+// guard page; the deepest one measured (suite, examples, sweeps) is 16 KiB.
+constexpr std::size_t kStackBytes = std::size_t{1} << 20;
+const auto kGuardBytes = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+
+// Layout of the C++ runtime's per-thread exception state (__cxa_eh_globals):
+// the caught-exception chain and the uncaught count. All fibers share the
+// thread's copy, so every hand-off swaps it.
+struct EhGlobals {
+  void* caught = nullptr;
+  unsigned int uncaught = 0;
+};
+
+void exchange_eh_globals(EhGlobals& state) {
+  void* live = abi::__cxa_get_globals();
+  EhGlobals previous;
+  std::memcpy(&previous, live, sizeof previous);
+  std::memcpy(live, &state, sizeof state);
+  state = previous;
+}
 }  // namespace
 
-Simulation::Simulation() = default;
+struct Simulation::Fiber {
+  ucontext_t context{};
+  void* region = nullptr;  // guard page + stack; none for the scheduler
+  // While switched out: the process's exception state and current span.
+  EhGlobals eh;
+  obs::trace::SpanId span = 0;
+#if defined(__SANITIZE_ADDRESS__)
+  void* fake_stack = nullptr;
+  const void* bottom = nullptr;  // the scheduler's stack, learned on entry
+  std::size_t size = 0;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  void* tsan = nullptr;
+#endif
+
+  Fiber() = default;
+  explicit Fiber(void (*entry)()) {
+    region = mmap(nullptr, kGuardBytes + kStackBytes, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                  -1, 0);
+    if (region == MAP_FAILED) throw std::bad_alloc();
+    if (mprotect(region, kGuardBytes, PROT_NONE) != 0 ||
+        getcontext(&context) != 0) {
+      munmap(region, kGuardBytes + kStackBytes);
+      throw std::bad_alloc();
+    }
+    context.uc_stack.ss_sp = stack();
+    context.uc_stack.ss_size = kStackBytes;
+    makecontext(&context, entry, 0);  // no uc_link: entry switches out
+#if defined(__SANITIZE_THREAD__)
+    tsan = __tsan_create_fiber(0);
+#endif
+  }
+
+  ~Fiber() {
+    if (region == nullptr) return;
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(tsan);
+#endif
+    munmap(region, kGuardBytes + kStackBytes);
+  }
+
+  void* stack() const { return static_cast<char*>(region) + kGuardBytes; }
+};
+
+Simulation::Simulation() : scheduler_(std::make_unique<Fiber>()) {}
 
 Simulation::~Simulation() {
   shutdown();
-  {
-    std::unique_lock lock(mutex_);
-    shutting_down_ = true;
-  }
-  for (auto& pcb : processes_) {
-    if (pcb->thread.joinable()) pcb->thread.join();
-  }
+  shutting_down_ = true;
 }
 
 void Simulation::shutdown() {
   if (t_in_process) {
     throw Error("Simulation::shutdown() called from inside a process");
   }
-  std::unique_lock lock(mutex_);
   // Index loop: a dying process's destructors may spawn further entries.
   for (std::size_t i = 0; i < processes_.size(); ++i) {
     Pcb& pcb = *processes_[i];
-    if (pcb.state == PState::finished) continue;
+    if (pcb.finished) continue;
     pcb.kill = true;
-    grant_and_wait(lock, pcb);
+    resume(static_cast<ProcessId>(i));
   }
 }
 
 bool Simulation::in_process() noexcept { return t_in_process; }
 
-Simulation::Pcb* Simulation::pcb_of(ProcessId pid) const {
-  std::unique_lock lock(mutex_);
-  return processes_.at(pid).get();
-}
-
 std::string Simulation::current_name() const {
   if (!t_in_process || t_sim != this) return "";
-  return pcb_of(t_pid)->name;
+  return processes_.at(t_pid)->name;
 }
 
 ProcessId Simulation::current_pid() const {
@@ -59,24 +131,21 @@ ProcessId Simulation::current_pid() const {
 }
 
 bool Simulation::finished(ProcessId pid) const {
-  std::unique_lock lock(mutex_);
-  return processes_.at(pid)->state == PState::finished;
+  return processes_.at(pid)->finished;
 }
 
 std::size_t Simulation::live_processes() const {
-  std::unique_lock lock(mutex_);
   std::size_t live = 0;
   for (const auto& pcb : processes_) {
-    if (pcb->state != PState::finished) ++live;
+    if (!pcb->finished) ++live;
   }
   return live;
 }
 
 std::vector<std::string> Simulation::live_process_names() const {
-  std::unique_lock lock(mutex_);
   std::vector<std::string> names;
   for (const auto& pcb : processes_) {
-    if (pcb->state != PState::finished) names.push_back(pcb->name);
+    if (!pcb->finished) names.push_back(pcb->name);
   }
   return names;
 }
@@ -87,26 +156,23 @@ ProcessId Simulation::spawn(std::string name, std::function<void()> body) {
 
 ProcessId Simulation::spawn_at(double start_at, std::string name,
                                std::function<void()> body) {
-  std::unique_lock lock(mutex_);
   auto pcb = std::make_unique<Pcb>();
   pcb->name = std::move(name);
   pcb->body = std::move(body);
   auto pid = static_cast<ProcessId>(processes_.size());
   if (shutting_down_) {
-    pcb->state = PState::finished;  // too late to run anything
+    pcb->finished = true;  // too late to run anything
     processes_.push_back(std::move(pcb));
     return pid;
   }
-  processes_.push_back(std::move(pcb));
-  Pcb& ref = *processes_.back();
-  ref.thread = std::thread([this, pid] { trampoline(pid); });
+  pcb->fiber = std::make_unique<Fiber>(&Simulation::trampoline);
   events_.push(Event{std::max(start_at, now_), next_seq_++, {}, pid,
-                     ref.wake_gen, true});
+                     pcb->wake_gen, true});
+  processes_.push_back(std::move(pcb));
   return pid;
 }
 
 void Simulation::at(double time, std::function<void()> callback) {
-  std::unique_lock lock(mutex_);
   if (shutting_down_) return;
   events_.push(
       Event{std::max(time, now_), next_seq_++, std::move(callback), 0, 0, false});
@@ -117,18 +183,10 @@ void Simulation::after(double delay, std::function<void()> callback) {
 }
 
 void Simulation::schedule_wake(double time, ProcessId pid) {
-  std::unique_lock lock(mutex_);
   if (shutting_down_) return;
   Pcb& pcb = *processes_.at(pid);
   events_.push(
       Event{std::max(time, now_), next_seq_++, {}, pid, pcb.wake_gen, true});
-}
-
-void Simulation::schedule_wake_gen(double time, ProcessId pid,
-                                   std::uint64_t gen) {
-  std::unique_lock lock(mutex_);
-  if (shutting_down_) return;
-  events_.push(Event{std::max(time, now_), next_seq_++, {}, pid, gen, true});
 }
 
 void Simulation::run() { run_until(std::numeric_limits<double>::infinity()); }
@@ -137,7 +195,6 @@ void Simulation::run_until(double until) {
   if (t_in_process) {
     throw Error("Simulation::run() called from inside a process");
   }
-  std::unique_lock lock(mutex_);
   while (!events_.empty()) {
     Event ev = events_.top();
     if (ev.time > until) {
@@ -146,62 +203,80 @@ void Simulation::run_until(double until) {
     }
     events_.pop();
     now_ = ev.time;
-    if (ev.is_wake) {
-      Pcb& pcb = *processes_.at(ev.pid);
-      if (pcb.state == PState::finished || ev.wake_gen != pcb.wake_gen) {
-        continue;  // stale wake (process already resumed via another event)
-      }
-      grant_and_wait(lock, pcb);
-      if (pcb.state == PState::finished && pcb.error) {
-        std::exception_ptr error = pcb.error;
-        pcb.error = nullptr;
-        lock.unlock();
-        std::rethrow_exception(error);
-      }
-    } else {
-      lock.unlock();
+    if (!ev.is_wake) {
       ev.callback();
-      lock.lock();
+      continue;
+    }
+    Pcb& pcb = *processes_.at(ev.pid);
+    if (pcb.finished || ev.wake_gen != pcb.wake_gen) {
+      continue;  // stale wake (process already resumed via another event)
+    }
+    resume(ev.pid);
+    if (pcb.finished && pcb.error) {
+      std::rethrow_exception(std::exchange(pcb.error, nullptr));
     }
   }
   if (until != std::numeric_limits<double>::infinity()) now_ = until;
 }
 
-void Simulation::grant_and_wait(std::unique_lock<std::mutex>& lock, Pcb& pcb) {
-  // Precondition: mutex_ held by `lock`. Hands the baton to `pcb`'s thread
-  // and blocks this (scheduler) thread until the process yields or finishes.
-  process_active_ = true;
-  pcb.baton = true;
-  pcb.cv.notify_one();
-  scheduler_cv_.wait(lock, [this] { return !process_active_; });
+void Simulation::resume(ProcessId pid) {
+  Pcb& pcb = *processes_[pid];
+  Fiber& fiber = *pcb.fiber;
+  ++pcb.wake_gen;  // invalidate any other pending wake events
+  t_sim = this;
+  t_pid = pid;
+  t_in_process = true;
+  exchange_eh_globals(fiber.eh);
+  fiber.span = obs::trace::exchange_current_span(fiber.span);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(&scheduler_->fake_stack, fiber.stack(),
+                                 kStackBytes);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  scheduler_->tsan = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(fiber.tsan, 0);
+#endif
+  swapcontext(&scheduler_->context, &fiber.context);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(scheduler_->fake_stack, nullptr, nullptr);
+#endif
+  fiber.span = obs::trace::exchange_current_span(fiber.span);
+  exchange_eh_globals(fiber.eh);
+  t_in_process = false;  // t_sim and t_pid are read only behind this flag
+  if (pcb.finished) pcb.fiber.reset();  // stack fully unwound: release it
 }
 
-void Simulation::yield_and_wait(std::unique_lock<std::mutex>& lock, Pcb& pcb) {
-  // Precondition: mutex_ held by `lock`, calling thread is pcb's thread and
-  // currently holds the baton. Gives the baton back, waits to get it again.
-  process_active_ = false;
-  scheduler_cv_.notify_one();
-  pcb.cv.wait(lock, [&pcb] { return pcb.baton; });
-  pcb.baton = false;
-  ++pcb.wake_gen;  // invalidate any other pending wake events
-  if (pcb.kill) throw ProcessKilled{};
+void Simulation::suspend() {
+  Fiber& fiber = *processes_[t_pid]->fiber;
+#if defined(__SANITIZE_ADDRESS__)
+  // A finished process never comes back: let ASan drop its fake stack.
+  __sanitizer_start_switch_fiber(
+      processes_[t_pid]->finished ? nullptr : &fiber.fake_stack,
+      scheduler_->bottom, scheduler_->size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(scheduler_->tsan, 0);
+#endif
+  swapcontext(&fiber.context, &scheduler_->context);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(fiber.fake_stack, &scheduler_->bottom,
+                                  &scheduler_->size);
+#endif
 }
 
 void Simulation::block_current() {
   assert(t_in_process && t_sim == this);
-  std::unique_lock lock(mutex_);
   Pcb& pcb = *processes_.at(t_pid);
   if (pcb.kill) return;  // unwinding after a kill: do not block again
-  pcb.state = PState::blocked;
-  yield_and_wait(lock, pcb);
-  pcb.state = PState::runnable;
+  suspend();
+  if (pcb.kill) throw ProcessKilled{};
 }
 
 void Simulation::sleep(double seconds) {
   if (!t_in_process || t_sim != this) {
     throw Error("sleep() outside a simulated process");
   }
-  if (pcb_of(t_pid)->kill) return;
+  if (kill_pending()) return;
   schedule_wake(now_ + seconds, t_pid);
   block_current();
 }
@@ -210,33 +285,30 @@ void Simulation::yield_now() {
   if (!t_in_process || t_sim != this) {
     throw Error("yield_now() outside a simulated process");
   }
-  if (pcb_of(t_pid)->kill) return;
+  if (kill_pending()) return;
   schedule_wake(now_, t_pid);
   block_current();
 }
 
 void Simulation::kill(ProcessId pid) {
   bool self = t_in_process && t_sim == this && pid == t_pid;
-  {
-    std::unique_lock lock(mutex_);
-    Pcb& pcb = *processes_.at(pid);
-    if (pcb.state == PState::finished) return;
-    // Marked even for a self-kill, so blocking primitives reached during the
-    // unwind return immediately instead of re-blocking, and kill_pending()
-    // tells teardown code to take the abnormal (no-goodbye) path.
-    pcb.kill = true;
-    if (!self && !shutting_down_) {
-      events_.push(Event{now_, next_seq_++, {}, pid, pcb.wake_gen, true});
-    }
+  Pcb& pcb = *processes_.at(pid);
+  if (pcb.finished) return;
+  // Marked even for a self-kill, so blocking primitives reached during the
+  // unwind return immediately instead of re-blocking, and kill_pending()
+  // tells teardown code to take the abnormal (no-goodbye) path.
+  pcb.kill = true;
+  if (!self && !shutting_down_) {
+    events_.push(Event{now_, next_seq_++, {}, pid, pcb.wake_gen, true});
   }
   notify_kill_observers(pid);
   if (self) throw ProcessKilled{};  // killing yourself: unwind right here
 }
 
 void Simulation::notify_kill_observers(ProcessId pid) {
-  // Index loop without the lock: observers call back into the simulation
-  // (breaking pipes schedules wake events) and may register further
-  // observers. Defunct ones (returning false) are compacted afterwards.
+  // Index loop: observers call back into the simulation (breaking pipes
+  // schedules wake events) and may register further observers. Defunct
+  // ones (returning false) are compacted afterwards.
   for (std::size_t i = 0; i < kill_observers_.size(); ++i) {
     if (!kill_observers_[i]) continue;
     if (!kill_observers_[i](pid)) kill_observers_[i] = nullptr;
@@ -253,60 +325,43 @@ void Simulation::on_kill(std::function<bool(ProcessId)> observer) {
 
 bool Simulation::kill_matching(const std::string& prefix,
                                const std::string& segment) {
-  ProcessId victim = 0;
-  bool found = false;
-  {
-    std::unique_lock lock(mutex_);
-    for (std::size_t i = 0; i < processes_.size(); ++i) {
-      const Pcb& pcb = *processes_[i];
-      if (pcb.state == PState::finished) continue;
-      const std::string& name = pcb.name;
-      if (name.size() < prefix.size() + segment.size()) continue;
-      if (name.compare(0, prefix.size(), prefix) != 0) continue;
-      if (name.compare(prefix.size(), segment.size(), segment) != 0) continue;
-      std::size_t end = prefix.size() + segment.size();
-      if (end != name.size() && name[end] != ':') continue;
-      victim = static_cast<ProcessId>(i);
-      found = true;
-      break;
-    }
+  for (std::size_t i = 0; i < processes_.size(); ++i) {
+    const Pcb& pcb = *processes_[i];
+    if (pcb.finished) continue;
+    const std::string& name = pcb.name;
+    if (name.size() < prefix.size() + segment.size()) continue;
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    if (name.compare(prefix.size(), segment.size(), segment) != 0) continue;
+    std::size_t end = prefix.size() + segment.size();
+    if (end != name.size() && name[end] != ':') continue;
+    kill(static_cast<ProcessId>(i));
+    return true;
   }
-  if (found) kill(victim);
-  return found;
+  return false;
 }
 
 bool Simulation::kill_pending() const noexcept {
   if (!t_in_process || t_sim != this) return false;
-  std::unique_lock lock(mutex_);
-  return processes_.at(t_pid)->kill;
+  return processes_[t_pid]->kill;
 }
 
 void Simulation::watch_exit(ProcessId pid, std::function<void()> callback) {
-  std::unique_lock lock(mutex_);
   if (shutting_down_) return;
   Pcb& pcb = *processes_.at(pid);
-  if (pcb.state == PState::finished) {
+  if (pcb.finished) {
     events_.push(Event{now_, next_seq_++, std::move(callback), 0, 0, false});
     return;
   }
   pcb.exit_watchers.push_back(std::move(callback));
 }
 
-void Simulation::trampoline(ProcessId pid) {
-  t_sim = this;
-  t_pid = pid;
-  t_in_process = true;
-  Pcb* pcb_ptr = nullptr;
-  {
-    std::unique_lock lock(mutex_);
-    pcb_ptr = processes_.at(pid).get();
-    Pcb& waiting = *pcb_ptr;
-    waiting.cv.wait(lock, [&waiting] { return waiting.baton; });
-    waiting.baton = false;
-    ++waiting.wake_gen;
-    waiting.state = PState::runnable;
-  }
-  Pcb& pcb = *pcb_ptr;
+void Simulation::trampoline() {
+  Simulation& sim = *t_sim;
+  Pcb& pcb = *sim.processes_[t_pid];
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(nullptr, &sim.scheduler_->bottom,
+                                  &sim.scheduler_->size);
+#endif
   if (!pcb.kill) {
     try {
       pcb.body();
@@ -316,19 +371,17 @@ void Simulation::trampoline(ProcessId pid) {
       pcb.error = std::current_exception();
     }
   }
-  std::unique_lock lock(mutex_);
-  pcb.state = PState::finished;
+  pcb.finished = true;
   // Exit watchers (supervision) fire as ordinary events at the death
   // timestamp — never during shutdown, when supervisors must not respawn.
-  if (!shutting_down_) {
+  if (!sim.shutting_down_) {
     for (auto& watcher : pcb.exit_watchers) {
-      events_.push(
-          Event{now_, next_seq_++, std::move(watcher), 0, 0, false});
+      sim.events_.push(
+          Event{sim.now_, sim.next_seq_++, std::move(watcher), 0, 0, false});
     }
   }
   pcb.exit_watchers.clear();
-  process_active_ = false;
-  scheduler_cv_.notify_one();
+  sim.suspend();  // never resumed: resume() releases this stack
 }
 
 void Signal::wait() {
@@ -336,7 +389,7 @@ void Signal::wait() {
     throw Error("Signal::wait() outside a simulated process");
   }
   ProcessId self = sim_->current_pid();
-  if (sim_->pcb_of(self)->kill) return;
+  if (sim_->kill_pending()) return;
   waiters_.push_back(self);
   sim_->block_current();
   // notify_* removes the pid before scheduling the wake; erase is a no-op on
@@ -349,7 +402,7 @@ bool Signal::wait_for(double timeout_s) {
     throw Error("Signal::wait_for() outside a simulated process");
   }
   ProcessId self = sim_->current_pid();
-  if (sim_->pcb_of(self)->kill) return false;
+  if (sim_->kill_pending()) return false;
   waiters_.push_back(self);
   sim_->schedule_wake(sim_->now() + timeout_s, self);
   sim_->block_current();

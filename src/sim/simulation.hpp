@@ -1,13 +1,11 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -52,10 +50,11 @@ class Signal {
 /// Deterministic discrete-event simulator with cooperative processes.
 ///
 /// Exactly one simulated process (or event callback) executes at any moment;
-/// the scheduler hands a "baton" to the process owning the earliest event.
+/// the scheduler resumes the process owning the earliest event.
 /// Events at equal times fire in scheduling order, so runs are replayable.
-/// Processes are real threads, which lets protocol code (RPC, MPI, sockets)
-/// be written as straight-line blocking code (CP.4: think in tasks).
+/// Processes are fibers with their own stacks, run on the thread that calls
+/// run(), which lets protocol code (RPC, MPI, sockets) be written as
+/// straight-line blocking code (CP.4: think in tasks).
 class Simulation {
  public:
   Simulation();
@@ -67,7 +66,7 @@ class Simulation {
   double now() const noexcept { return now_; }
 
   /// Create a process; it becomes runnable at the current time (or at
-  /// `start_at` if given). The body runs on its own thread, one at a time.
+  /// `start_at` if given). The body runs on its own stack, one at a time.
   ProcessId spawn(std::string name, std::function<void()> body);
   ProcessId spawn_at(double start_at, std::string name,
                      std::function<void()> body);
@@ -85,8 +84,8 @@ class Simulation {
   /// Block the calling process for `seconds` of virtual time.
   void sleep(double seconds);
 
-  /// Yield the baton, becoming runnable again at the same timestamp (after
-  /// already-scheduled same-time events).
+  /// Yield to the scheduler, becoming runnable again at the same timestamp
+  /// (after already-scheduled same-time events).
   void yield_now();
 
   /// Kill a process: ProcessKilled is raised at its next (or current)
@@ -143,16 +142,14 @@ class Simulation {
  private:
   friend class Signal;
 
-  enum class PState { created, runnable, blocked, finished };
+  struct Fiber;  // a stack and saved registers; defined in the .cpp
 
   struct Pcb {
     std::string name;
-    std::thread thread;
-    std::condition_variable cv;
-    bool baton = false;        // scheduler granted execution
-    bool kill = false;         // raise ProcessKilled at next wait
+    std::unique_ptr<Fiber> fiber;  // released once the process finished
+    bool kill = false;             // raise ProcessKilled at next wait
+    bool finished = false;
     std::uint64_t wake_gen = 0;  // invalidates stale wake events
-    PState state = PState::created;
     std::function<void()> body;
     std::exception_ptr error;
     std::vector<std::function<void()>> exit_watchers;
@@ -175,31 +172,22 @@ class Simulation {
     }
   };
 
-  // Locked lookup of a process control block. The vector reallocates on
-  // spawn; every cross-thread access must resolve the (stable, heap-owned)
-  // Pcb pointer under the mutex rather than index the vector unlocked.
-  Pcb* pcb_of(ProcessId pid) const;
-
-  // Process-side: give the baton back and wait until granted again.
-  // Precondition: lock held. Throws ProcessKilled if killed meanwhile.
-  void yield_and_wait(std::unique_lock<std::mutex>& lock, Pcb& pcb);
-
-  // Schedule a wake event for `pid` at `time`; bumps the wake generation so
-  // earlier pending wakes become stale.
+  // Schedule a wake event for `pid` at `time` under its current wake
+  // generation; resuming bumps the generation, so other pending wakes of
+  // the same block go stale.
   void schedule_wake(double time, ProcessId pid);
-  // Schedule a wake without bumping generation (notify & timeout pair).
-  void schedule_wake_gen(double time, ProcessId pid, std::uint64_t gen);
 
   // Block the current process until its wake generation fires.
   void block_current();
 
-  void grant_and_wait(std::unique_lock<std::mutex>& lock, Pcb& pcb);
-  void trampoline(ProcessId pid);
+  // Scheduler side: run `pid` until it blocks or finishes.
+  void resume(ProcessId pid);
+  // Process side: hand control back to the scheduler; returns once resumed.
+  void suspend();
+  static void trampoline();
   void notify_kill_observers(ProcessId pid);
 
-  mutable std::mutex mutex_;
-  std::condition_variable scheduler_cv_;
-  bool process_active_ = false;  // a process currently holds the baton
+  std::unique_ptr<Fiber> scheduler_;  // the context suspend() returns to
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;

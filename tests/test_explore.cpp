@@ -168,3 +168,25 @@ TEST(Explore, ReplayIsDeterministic) {
     ADD_FAILURE() << violation.schedule << ": " << violation.what;
   }
 }
+
+TEST(Explore, RevivedWorkerIsRecoveredAgainAfterItsHostCrashes) {
+  // A worker killed at iteration 0 is restarted in place by its daemon's
+  // supervisor; at iteration 2 its host crashes. That second recovery must
+  // close, re-place and restore the slot like any other: the in-place
+  // revive belongs to the first recovery only.
+  Options options;
+  options.iterations = 3;
+  Explorer explorer(triple_plummer(), options);
+  Schedule schedule = parse_schedule(
+      "step.evolve@0#0=worker:node0;step.evolve@2#0=crash:node0");
+  RunReport report = explorer.run_schedule(schedule);
+  ASSERT_TRUE(report.completed) << report.error;
+  EXPECT_EQ(report.fired, 2);
+  EXPECT_EQ(report.restarts, 2);
+  EXPECT_EQ(report.final_digest, explorer.golden().final_digest);
+  std::vector<Violation> violations;
+  explorer.check(schedule, report, violations);
+  for (const Violation& violation : violations) {
+    ADD_FAILURE() << violation.schedule << ": " << violation.what;
+  }
+}

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
+#include "sim/simulation.hpp"
 #include "util/logging.hpp"
 
 using namespace jungle;
@@ -157,6 +158,35 @@ TEST(Trace, SpansNestAndRestoreTheCurrentContext) {
   ASSERT_NE(inner, nullptr);
   EXPECT_EQ(inner->parent, outer->id);
   EXPECT_EQ(outer->parent, 0u);
+  obs::trace::set_enabled(false);
+  obs::trace::reset();
+}
+
+TEST(Trace, EachProcessKeepsItsOwnCurrentSpan) {
+  // A opens a scoped span and yields; B, which runs meanwhile on the same
+  // thread, must not parent its span under A's.
+  obs::trace::reset();
+  obs::trace::set_enabled(true);
+  {
+    sim::Simulation sim;
+    sim.spawn("a", [&sim] {
+      obs::trace::Span span = obs::trace::span("a-scope", "test");
+      sim.yield_now();
+      EXPECT_EQ(obs::trace::current_span(), span.id());
+    });
+    sim.spawn("b", [] {
+      obs::trace::Span span = obs::trace::span("b-scope", "test");
+    });
+    sim.run();
+  }
+  EXPECT_EQ(obs::trace::current_span(), 0u);
+  auto spans = obs::trace::snapshot();
+  const auto* a = find_span(spans, "a-scope");
+  const auto* b = find_span(spans, "b-scope");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(b->parent, a->id);
+  EXPECT_EQ(b->parent, 0u);
   obs::trace::set_enabled(false);
   obs::trace::reset();
 }

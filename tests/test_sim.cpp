@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -130,6 +132,54 @@ TEST(Simulation, YieldNowKeepsTimeButReorders) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+}
+
+TEST(Simulation, EachProcessRethrowsItsOwnCaughtException) {
+  // Processes share one thread, and with it the C++ runtime's chain of
+  // caught exceptions: a hand-off must swap it, or `throw;` after a yield
+  // rethrows whichever exception another process caught last.
+  Simulation sim;
+  std::vector<std::string> rethrown;
+  auto body = [&sim, &rethrown](std::string tag, int yields) {
+    return [&sim, &rethrown, tag, yields] {
+      try {
+        try {
+          throw std::runtime_error(tag);
+        } catch (...) {
+          for (int i = 0; i < yields; ++i) sim.yield_now();
+          throw;
+        }
+      } catch (const std::runtime_error& error) {
+        rethrown.push_back(tag + ":" + error.what());
+      }
+    };
+  };
+  sim.spawn("a", body("a", 1));
+  sim.spawn("b", body("b", 2));
+  sim.run();
+  EXPECT_EQ(rethrown, (std::vector<std::string>{"a:a", "b:b"}));
+}
+
+TEST(Simulation, UncaughtExceptionCountIsPerProcess) {
+  // C yields from a destructor while an exception unwinds it; D, which runs
+  // meanwhile, has no exception in flight.
+  Simulation sim;
+  int seen_by_d = -1;
+  sim.spawn("c", [&sim] {
+    struct YieldOnUnwind {
+      Simulation& sim;
+      ~YieldOnUnwind() { sim.yield_now(); }
+    };
+    try {
+      YieldOnUnwind guard{sim};
+      throw std::runtime_error("unwinding");
+    } catch (const std::runtime_error&) {
+    }
+  });
+  sim.spawn("d", [&seen_by_d] { seen_by_d = std::uncaught_exceptions(); });
+  sim.run();
+  EXPECT_EQ(seen_by_d, 0);
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
 }
 
 TEST(Simulation, BlockedProcessesAreKilledAtDestruction) {
