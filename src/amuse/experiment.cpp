@@ -306,34 +306,6 @@ void ExperimentSpec::validate() const {
            "' is not referenced by any coupling");
     }
   }
-
-  // Fault policy: a kill switch on a spec that cannot recover would be
-  // silently ignored — make it a validation error instead.
-  if (!kill_host.empty() && !checkpointing) {
-    fail("kill_host is set but checkpointing is off — the fault policy "
-         "would be silently ignored");
-  }
-  if (!kill_host.empty() && kill_after_iteration < 1) {
-    fail("kill_host is set but kill_after_iteration names no step");
-  }
-  if (!kill_host.empty() && kill_after_iteration > iterations) {
-    fail("kill_after_iteration (" + std::to_string(kill_after_iteration) +
-         ") is past the end of the run (" + std::to_string(iterations) +
-         " iterations) — the fault would silently never fire");
-  }
-  if (kill_host.empty() && kill_after_iteration >= 1) {
-    fail("kill_after_iteration is set but kill_host names no host");
-  }
-  if (!kill_process.empty() && kill_host.empty()) {
-    fail("kill_process is set but kill_host names no host to kill it on");
-  }
-  if (!flap_link.empty() && flap_after_iteration < 1) {
-    fail("flap_link is set but flap_after_iteration names no step");
-  }
-  if (flap_link.empty() &&
-      (flap_after_iteration >= 1 || flap_streams > 0)) {
-    fail("flap injection is configured but flap_link names no link");
-  }
 }
 
 sched::Workload ExperimentSpec::workload() const {
@@ -341,7 +313,6 @@ sched::Workload ExperimentSpec::workload() const {
   load.dt = dt;
   load.iterations = iterations;
   load.se_every = se_every;
-  load.with_stellar_evolution = false;
   for (const ModelSpec& model : models) {
     sched::ModelLoad entry;
     entry.name = model.name;
@@ -350,30 +321,13 @@ sched::Workload ExperimentSpec::workload() const {
     entry.kernel = model.kernel == "auto" ? "" : model.kernel;
     entry.nranks = model.nranks;
     entry.workers = model.workers;
-    if (model.role == Role::stellar) {
-      entry.of = find(model.of);
-      load.with_stellar_evolution = true;
-    }
+    if (model.role == Role::stellar) entry.of = find(model.of);
     load.models.push_back(std::move(entry));
   }
   for (const CouplingSpec& coupling : couplings) {
     load.couplings.push_back(
         {find(coupling.field), find(coupling.a), find(coupling.b),
          coupling.every});
-  }
-  // Legacy scalar mirror (display + any classic-path consumer).
-  for (const ModelSpec& model : models) {
-    if (model.role == Role::gravity) {
-      load.n_stars = model.n;
-      break;
-    }
-  }
-  load.n_gas = 0;
-  for (const ModelSpec& model : models) {
-    if (model.role == Role::hydro) {
-      load.n_gas = model.n;
-      break;
-    }
   }
   return load;
 }
@@ -406,9 +360,7 @@ Role parse_role(const std::string& text, const std::string& where) {
 constexpr std::string_view kExperimentKeys[] = {
     "name", "dt", "iterations", "se_every", "seed", "datapath",
     "myr_per_nbody_time", "feedback_efficiency", "wind_specific_energy",
-    "supernova_energy", "checkpointing", "kill_host", "kill_after_iteration",
-    "kill_process", "flap_link", "flap_after_iteration", "flap_down_s",
-    "flap_streams", "flap_streams_heal_s", "rpc_timeout", "client"};
+    "supernova_energy", "checkpointing", "rpc_timeout", "client"};
 constexpr std::string_view kModelKeys[] = {
     "role", "kernel", "n", "nranks", "nodes", "workers", "eps2", "eta",
     "theta", "ic", "total_mass", "radius", "u_frac", "offset", "velocity",
@@ -465,19 +417,6 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
         config.get_double_or(s, "supernova_energy", spec.supernova_energy);
     spec.checkpointing =
         config.get_bool_or(s, "checkpointing", spec.checkpointing);
-    spec.kill_host = config.get_or(s, "kill_host", "");
-    spec.kill_after_iteration = static_cast<int>(
-        config.get_int_or(s, "kill_after_iteration", -1));
-    spec.kill_process = config.get_or(s, "kill_process", "");
-    spec.flap_link = config.get_or(s, "flap_link", "");
-    spec.flap_after_iteration = static_cast<int>(
-        config.get_int_or(s, "flap_after_iteration", -1));
-    spec.flap_down_s =
-        config.get_double_or(s, "flap_down_s", spec.flap_down_s);
-    spec.flap_streams = static_cast<int>(
-        config.get_int_or(s, "flap_streams", spec.flap_streams));
-    spec.flap_streams_heal_s = config.get_double_or(
-        s, "flap_streams_heal_s", spec.flap_streams_heal_s);
     spec.rpc_timeout =
         config.get_double_or(s, "rpc_timeout", spec.rpc_timeout);
     spec.client = config.get_or(s, "client", "");
@@ -1121,7 +1060,6 @@ class GraphRunner {
         if (fault_tolerant()) commit_checkpoint();
         ++completed_;
         report_iteration(replaying);
-        inject_faults();
       } catch (const WorkerDiedError& death) {
         if (!fault_tolerant()) throw;
         recover(death);
@@ -1282,32 +1220,6 @@ class GraphRunner {
                        << post_drift << "x, calibrated modeled="
                        << result_.calibrated_seconds_per_iteration
                        << " s/iter";
-  }
-
-  /// The spec's own fault injections, each fired once after its step.
-  void inject_faults() {
-    if (fault_tolerant() && !killed_ && !spec_.kill_host.empty() &&
-        completed_ == spec_.kill_after_iteration) {
-      killed_ = true;
-      if (spec_.kill_process.empty()) {
-        bed_.network().host(spec_.kill_host).crash();
-      } else {
-        // Process-level fault: kill one process on the host (daemon,
-        // proxy, worker) and leave the machine up — this is the tier the
-        // supervisors recover in place.
-        bed_.network().host(spec_.kill_host).kill_process(spec_.kill_process);
-      }
-    }
-    if (!flapped_ && !spec_.flap_link.empty() &&
-        completed_ == spec_.flap_after_iteration) {
-      flapped_ = true;
-      if (spec_.flap_streams > 0) {
-        bed_.network().fail_streams(spec_.flap_link, spec_.flap_streams,
-                                    spec_.flap_streams_heal_s);
-      } else {
-        bed_.network().flap_link(spec_.flap_link, spec_.flap_down_s);
-      }
-    }
   }
 
   /// Exclude what died, re-place the affected models, and roll every
@@ -1580,8 +1492,6 @@ class GraphRunner {
 
   int replace_attempts_ = 0;
   bool calibrated_ = false;
-  bool killed_ = false;
-  bool flapped_ = false;
   int completed_ = 0;
   int attempted_steps_ = 0;
   int restarts_mark_ = 0;

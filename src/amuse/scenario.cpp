@@ -33,13 +33,6 @@ experiment::ExperimentSpec classic_spec(Kind kind, const Options& options) {
   using experiment::ModelSpec;
   using sched::Role;
 
-  if (kind != Kind::autoplace &&
-      (!options.kill_host.empty() || options.kill_after_iteration >= 1)) {
-    throw ConfigError(std::string("Options::kill_host is only honored by "
-                                  "Kind::autoplace (no recovery path on ") +
-                      kind_name(kind) + "); refusing to ignore it");
-  }
-
   ExperimentSpec spec;
   spec.name = kind_name(kind);
   spec.dt = options.dt;
@@ -128,8 +121,6 @@ experiment::ExperimentSpec classic_spec(Kind kind, const Options& options) {
       // No pins: the scheduler places the full role set, checkpointing
       // each step so dead workers can be re-placed mid-run.
       spec.checkpointing = true;
-      spec.kill_host = options.kill_host;
-      spec.kill_after_iteration = options.kill_after_iteration;
       break;
   }
   if (kind == Kind::sc11) spec.client = "laptop";
@@ -158,14 +149,7 @@ Result run_scenario_config(const util::Config& config,
   JungleTestbed bed(config);
   if (experiment::config_declares_experiment(config)) {
     // The INI's graph defines the run; the caller's Options only
-    // parameterize the *classic* embedded cluster. Accepting a fault
-    // injection here and not firing it would be silent option loss.
-    if (!options.kill_host.empty() || options.kill_after_iteration >= 1) {
-      throw ConfigError(
-          "Options::kill_host is ignored when the config declares its own "
-          "[model ...] graph; put the fault policy in the [experiment] "
-          "section instead");
-    }
+    // parameterize the *classic* embedded cluster.
     return experiment::run_experiment(
         bed, experiment::ExperimentSpec::from_config(config));
   }

@@ -42,11 +42,6 @@ struct Options {
   int se_every = 4;
   std::uint64_t seed = 20120301;
   Datapath datapath = Datapath::pipelined;
-  /// Fault injection, honored by Kind::autoplace only (the one kind with a
-  /// recovery path). Setting it on any other kind is a ConfigError — a
-  /// silently ignored kill switch is option loss, not a default.
-  std::string kill_host;
-  int kill_after_iteration = -1;
 };
 
 /// The embedded-cluster experiment of one paper configuration, as a spec:

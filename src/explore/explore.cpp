@@ -204,8 +204,6 @@ Explorer::Explorer(util::Config config, Options options)
   spec_ = amuse::experiment::ExperimentSpec::from_config(config_);
   // The explorer supplies all faults itself, on top of a checkpointing run.
   spec_.checkpointing = true;
-  spec_.kill_host.clear();
-  spec_.kill_after_iteration = -1;
   if (options_.iterations > 0) spec_.iterations = options_.iterations;
   spec_.validate();
 
@@ -368,8 +366,6 @@ void Explorer::dfs(const Schedule& base,
     // earlier points belong to runs already explored at shallower depth.
     if (entry.fired != static_cast<int>(base.size())) continue;
     for (const Injection& victim : victims_) {
-      if (victim.kind == Injection::Kind::link && !options_.link_faults)
-        continue;
       // Re-killing a dead victim is a no-op run: skip it statically. The
       // process tier is exempt — a supervised restart brings the victim
       // back, and killing it *again* (the double-fault mid-backoff case)

@@ -124,7 +124,6 @@ struct Options {
   int max_faults = 2;      // DFS depth bound
   int max_schedules = 0;   // stop after this many runs (0 = unbounded)
   int iterations = 0;      // override the spec's iteration count (0 = keep)
-  bool link_faults = true; // also cut WAN links, not just crash hosts
   /// Energy drift tolerance relative to the golden run's total energy.
   double energy_tolerance = 1e-8;
   /// Restrict the victim set to these kinds (empty = every kind). The CLI

@@ -42,21 +42,6 @@ LinkCost link_between(const sim::Network& net, const sim::Host& client,
   return link;
 }
 
-Workload Workload::normalized() const {
-  Workload load = *this;
-  if (!load.models.empty()) return load;
-  // The classic embedded-cluster quadruple, in the historic planner's loop
-  // nesting order (gravity, hydro, coupler, stellar).
-  load.models.push_back({"gravity", Role::gravity, load.n_stars, -1, "", 0});
-  load.models.push_back({"hydro", Role::hydro, load.n_gas, -1, "", 0});
-  load.models.push_back({"coupler", Role::coupler, 0, -1, "", 0});
-  if (load.with_stellar_evolution) {
-    load.models.push_back({"stellar", Role::stellar, load.n_stars, 0, "", 0});
-  }
-  load.couplings.push_back({2, 0, 1, 1});
-  return load;
-}
-
 double state_fetch_bytes(std::size_t n) {
   // A post-evolve state fetch ships the changed positions (mass unchanged,
   // velocities not requested by the coupling mask): 24 B/particle + span
@@ -105,14 +90,14 @@ double kick_bytes(std::size_t n) {
   return kCallOverheadBytes + kKickHeaderBytes + static_cast<double>(n) * 24.0;
 }
 
-DatapathBytes datapath_bytes(const Workload& load) {
+DatapathBytes datapath_bytes(std::size_t n_stars, std::size_t n_gas) {
   DatapathBytes bytes;
-  bytes.grav_state_fetch = state_fetch_bytes(load.n_stars);
-  bytes.hydro_state_fetch = state_fetch_bytes(load.n_gas);
-  bytes.coupler_upload = coupling_upload_bytes(load.n_stars, load.n_gas);
-  bytes.coupler_reply = coupling_reply_bytes(load.n_stars, load.n_gas);
-  bytes.grav_kick = kick_bytes(load.n_stars);
-  bytes.hydro_kick = kick_bytes(load.n_gas);
+  bytes.grav_state_fetch = state_fetch_bytes(n_stars);
+  bytes.hydro_state_fetch = state_fetch_bytes(n_gas);
+  bytes.coupler_upload = coupling_upload_bytes(n_stars, n_gas);
+  bytes.coupler_reply = coupling_reply_bytes(n_stars, n_gas);
+  bytes.grav_kick = kick_bytes(n_stars);
+  bytes.hydro_kick = kick_bytes(n_gas);
   bytes.kick_repeat = kCallOverheadBytes + kKickHeaderBytes;
   bytes.idle_call = kCallOverheadBytes;
   return bytes;

@@ -50,26 +50,13 @@ struct CouplingLoad {
 /// model can price: the model graph (particle counts and coupling shape),
 /// the bridge timestep (which sets the kernels' substep counts) and the
 /// run length (which sets the horizon queue delays amortize over).
-///
-/// The legacy scalar fields describe the classic embedded-cluster
-/// quadruple; when `models` is empty, normalized() derives that graph from
-/// them — which is how pre-experiment callers (and the classic scenario
-/// kinds) keep pricing exactly as before.
 struct Workload {
-  std::size_t n_stars = 1000;
-  std::size_t n_gas = 10000;
   double dt = 1.0 / 32.0;
   int iterations = 2;
-  bool with_stellar_evolution = true;
   int se_every = 4;
 
   std::vector<ModelLoad> models;
   std::vector<CouplingLoad> couplings;
-
-  /// A copy whose graph is populated: the declared graph verbatim, or the
-  /// classic gravity/hydro/coupler/stellar quadruple built from the scalar
-  /// fields (slot order matches the historic planner's loop nesting).
-  Workload normalized() const;
 };
 
 // ---- calibration constants (see DESIGN.md, "Placement cost model") ----
@@ -160,8 +147,9 @@ struct DatapathBytes {
 };
 
 /// Payload-per-call volumes of one steady-state bridge iteration of the
-/// classic embedded-cluster graph.
-DatapathBytes datapath_bytes(const Workload& load);
+/// classic embedded-cluster graph: `n_stars` gravity particles coupled to
+/// `n_gas` hydro particles.
+DatapathBytes datapath_bytes(std::size_t n_stars, std::size_t n_gas);
 
 /// Per-iteration ghost-exchange wire volume of a `workers`-shard gravity
 /// model, both halves priced on the coordinating client's wire: the pull

@@ -31,8 +31,7 @@ Placement::Placement() {
 }
 
 Placement::Placement(const Workload& load) {
-  Workload normal = load.normalized();
-  for (const ModelLoad& model : normal.models) {
+  for (const ModelLoad& model : load.models) {
     kinds.push_back(model.role);
     names.push_back(model.name);
   }
@@ -280,14 +279,13 @@ bool Scheduler::fits(const Placement& placement) const {
 }
 
 double Scheduler::score(const Workload& load, Placement& placement) const {
-  Workload normal = load.normalized();
-  if (placement.roles.size() != normal.models.size()) {
+  if (placement.roles.size() != load.models.size()) {
     throw CodeError("sched: placement has " +
                     std::to_string(placement.roles.size()) +
                     " slots for a graph of " +
-                    std::to_string(normal.models.size()) + " models");
+                    std::to_string(load.models.size()) + " models");
   }
-  return score_graph(normal, placement);
+  return score_graph(load, placement);
 }
 
 double Scheduler::score_graph(const Workload& load,
@@ -441,8 +439,8 @@ double Scheduler::score_graph(const Workload& load,
   }
 
   // --- stellar evolution: every n-th step, small delta exchanges ---
-  // A stellar slot only appears in the graph when SE is on (normalized()
-  // omits it otherwise), so every one present is priced.
+  // A stellar slot only appears in the graph when SE is on, so every one
+  // present is priced.
   double stellar = 0.0;
   for (int i = 0; i < slots; ++i) {
     if (models[static_cast<std::size_t>(i)].role != Role::stellar) continue;
@@ -498,8 +496,7 @@ Placement Scheduler::plan(const Workload& load) const {
 Placement Scheduler::plan(
     const Workload& load,
     const std::vector<std::optional<Assignment>>& pins) const {
-  Workload normal = load.normalized();
-  std::size_t slots = normal.models.size();
+  std::size_t slots = load.models.size();
   if (!pins.empty() && pins.size() != slots) {
     throw CodeError("sched: pin vector does not match the model graph");
   }
@@ -511,19 +508,19 @@ Placement Scheduler::plan(
     if (i < pins.size() && pins[i].has_value()) {
       options[i] = {*pins[i]};
     } else {
-      options[i] = candidates(normal.models[i]);
+      options[i] = candidates(load.models[i]);
     }
     if (options[i].empty()) {
       throw CodeError("sched: no feasible placement for model '" +
-                      normal.models[i].name + "'");
+                      load.models[i].name + "'");
     }
     combinations *= static_cast<double>(options[i].size());
   }
 
-  Placement best(normal);
+  Placement best(load);
   double best_cost = std::numeric_limits<double>::infinity();
   bool found = false;
-  Placement trial(normal);
+  Placement trial(load);
 
   // Exhaustive argmin when the product space is small (the classic
   // quadruple and every few-model experiment); deterministic coordinate
@@ -534,7 +531,7 @@ Placement Scheduler::plan(
     auto evaluate = [&] {
       for (std::size_t i = 0; i < slots; ++i) trial.roles[i] = options[i][pick[i]];
       if (!fits(trial)) return;
-      double cost = score_graph(normal, trial);
+      double cost = score_graph(load, trial);
       if (cost < best_cost) {
         best = trial;
         best_cost = cost;
@@ -563,7 +560,7 @@ Placement Scheduler::plan(
     for (std::size_t i = 0; i < slots; ++i) trial.roles[i] = options[i][0];
     if (fits(trial)) {
       best = trial;
-      best_cost = score_graph(normal, best);
+      best_cost = score_graph(load, best);
       found = true;
     }
     for (int pass = 0; pass < 16; ++pass) {
@@ -573,7 +570,7 @@ Placement Scheduler::plan(
           trial = best;
           trial.roles[i] = candidate;
           if (!fits(trial)) continue;
-          double cost = score_graph(normal, trial);
+          double cost = score_graph(load, trial);
           if (cost < best_cost) {
             best = trial;
             best_cost = cost;
@@ -596,24 +593,23 @@ Placement Scheduler::plan(
 
 Assignment Scheduler::replace(const Workload& load, const Placement& current,
                               int slot) const {
-  Workload normal = load.normalized();
-  if (slot < 0 || static_cast<std::size_t>(slot) >= normal.models.size()) {
+  if (slot < 0 || static_cast<std::size_t>(slot) >= load.models.size()) {
     throw CodeError("sched: replace slot out of range");
   }
   // Named re-place step: the fault-schedule explorer injects a second
   // fault exactly here to exercise "death while re-placing the first".
   amuse::faultpoint::reach(
       amuse::faultpoint::Point::recover_replace, -1,
-      normal.models[static_cast<std::size_t>(slot)].name);
+      load.models[static_cast<std::size_t>(slot)].name);
   Assignment best;
   double best_cost = std::numeric_limits<double>::infinity();
   bool found = false;
   for (const Assignment& candidate :
-       candidates(normal.models[static_cast<std::size_t>(slot)])) {
+       candidates(load.models[static_cast<std::size_t>(slot)])) {
     Placement trial = current;
     trial.roles[static_cast<std::size_t>(slot)] = candidate;
     if (!fits(trial)) continue;
-    double cost = score_graph(normal, trial);
+    double cost = score_graph(load, trial);
     if (cost < best_cost) {
       best = trial.roles[static_cast<std::size_t>(slot)];
       best_cost = cost;
@@ -622,10 +618,10 @@ Assignment Scheduler::replace(const Workload& load, const Placement& current,
   }
   if (!found) {
     throw CodeError("sched: no feasible replacement for model '" +
-                    normal.models[static_cast<std::size_t>(slot)].name + "'");
+                    load.models[static_cast<std::size_t>(slot)].name + "'");
   }
   log::warn("sched") << "re-placing "
-                     << normal.models[static_cast<std::size_t>(slot)].name
+                     << load.models[static_cast<std::size_t>(slot)].name
                      << " onto " << best.where();
   return best;
 }

@@ -32,9 +32,9 @@ struct Assignment {
 };
 
 /// A full model->host mapping for an experiment graph plus its modeled
-/// per-iteration cost — one Assignment per model of the (normalized)
-/// Workload, in the same slot order, with the model names and role kinds
-/// riding along for display and the role() compatibility accessors.
+/// per-iteration cost — one Assignment per model of the Workload, in the
+/// same slot order, with the model names and role kinds riding along for
+/// display and the role() compatibility accessors.
 struct Placement {
   std::vector<Assignment> roles;
   std::vector<Role> kinds;
@@ -44,7 +44,7 @@ struct Placement {
   /// The classic quadruple shape (gravity, hydro, coupler, stellar) — what
   /// hand-built placements and the legacy scenario tables populate.
   Placement();
-  /// One empty slot per model of the (normalized) workload's graph.
+  /// One empty slot per model of the workload's graph.
   explicit Placement(const Workload& load);
 
   std::size_t size() const noexcept { return roles.size(); }
@@ -89,7 +89,7 @@ class Scheduler {
   /// CodeError when a model cannot be placed anywhere.
   Placement plan(const Workload& load) const;
   /// Same, honoring per-slot pins (a pinned slot's assignment is fixed;
-  /// empty optionals are planned). `pins` indexes the normalized graph.
+  /// empty optionals are planned). `pins` indexes the workload's graph.
   Placement plan(const Workload& load,
                  const std::vector<std::optional<Assignment>>& pins) const;
 
@@ -128,7 +128,7 @@ class Scheduler {
   /// Nodes of `resource` still usable (up, not excluded).
   std::vector<const sim::Host*> live_nodes(const gat::Resource& resource) const;
   bool fits(const Placement& placement) const;
-  double score_graph(const Workload& normalized, Placement& placement) const;
+  double score_graph(const Workload& load, Placement& placement) const;
 
   const sim::Network& net_;
   const sim::Host& client_;

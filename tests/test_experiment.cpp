@@ -109,7 +109,8 @@ every = 2
   sched::Workload load = spec.workload();
   ASSERT_EQ(load.models.size(), 5u);
   EXPECT_EQ(load.models[1].n, 150u);
-  EXPECT_TRUE(load.with_stellar_evolution);
+  EXPECT_EQ(load.models[4].role, Role::stellar);
+  EXPECT_EQ(load.models[4].of, 0);  // "one"'s slot
   ASSERT_EQ(load.couplings.size(), 2u);
   EXPECT_EQ(load.couplings[1].every, 2);
   EXPECT_EQ(load.couplings[1].b, 2);  // gasdisk's slot
@@ -146,6 +147,15 @@ n = 16
                   "unknown key 'worker' in [model extra]");
   expect_rejected("[coupling pair]\nfield = f\na = solo\nb = solo\nevry = 2\n",
                   "unknown key 'evry' in [coupling pair]");
+  // No fault switch is a spec key: faults enter a run only through
+  // faultpoint hooks.
+  for (const char* key :
+       {"kill_host", "kill_after_iteration", "kill_process", "flap_link",
+        "flap_after_iteration", "flap_down_s", "flap_streams",
+        "flap_streams_heal_s"}) {
+    expect_rejected(std::string("[experiment]\n") + key + " = 1\n",
+                    std::string("unknown key '") + key + "' in [experiment]");
+  }
 
   // Both committed example graphs use only accepted keys.
   for (const char* name : {"triple-plummer.ini", "sharded-plummer.ini"}) {
@@ -192,34 +202,6 @@ TEST(Experiment, ValidationRejectsBrokenStellarWiring) {
     if (model.role == Role::stellar) model.of.clear();
   }
   EXPECT_THROW(spec.validate(), ConfigError);
-}
-
-TEST(Experiment, FaultPolicyWithoutCheckpointingIsAnError) {
-  // The silent-option-loss fix: a kill switch the runner cannot honor must
-  // fail validation instead of being ignored.
-  ExperimentSpec spec = tiny_classic();
-  ASSERT_FALSE(spec.checkpointing);
-  spec.kill_host = "desktop";
-  spec.kill_after_iteration = 1;
-  EXPECT_THROW(spec.validate(), ConfigError);
-  spec.checkpointing = true;
-  EXPECT_NO_THROW(spec.validate());
-  // ... and half a kill switch is equally broken.
-  spec.kill_after_iteration = -1;
-  EXPECT_THROW(spec.validate(), ConfigError);
-  // ... as is a kill step the run never reaches.
-  spec.kill_after_iteration = spec.iterations + 1;
-  EXPECT_THROW(spec.validate(), ConfigError);
-}
-
-TEST(Experiment, KillHostOnNonAutoplaceKindIsAnError) {
-  scenario::Options options;
-  options.kill_host = "lgm-node";
-  options.kill_after_iteration = 1;
-  EXPECT_THROW(scenario::classic_spec(scenario::Kind::jungle, options),
-               ConfigError);
-  EXPECT_NO_THROW(
-      scenario::classic_spec(scenario::Kind::autoplace, options).validate());
 }
 
 TEST(Experiment, ValidationCatchesEmptyAndMalformedGraphs) {
@@ -272,17 +254,6 @@ iterations = 50
   EXPECT_THROW(
       scenario::run_scenario_config(util::Config::parse(ini), options),
       ConfigError);
-}
-
-TEST(Experiment, OptionsFaultInjectionRejectedOnGraphInis) {
-  // When the INI declares its own model graph, the caller's Options only
-  // parameterize the classic run — a kill switch passed there would be
-  // silently dropped, so it throws instead.
-  util::Config config = util::Config::parse(example_ini("triple-plummer.ini"));
-  scenario::Options options;
-  options.kill_host = "node0";
-  options.kill_after_iteration = 1;
-  EXPECT_THROW(scenario::run_scenario_config(config, options), ConfigError);
 }
 
 // ------------------------------------------- N=2 bit-identity vs old path

@@ -3,16 +3,14 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <map>
+#include <functional>
 #include <sstream>
 #include <string>
-#include <vector>
-
-#include <functional>
 
 #include "amuse/experiment.hpp"
 #include "amuse/faultpoint.hpp"
 #include "amuse/faults.hpp"
+#include "explore/explore.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network.hpp"
 
@@ -21,9 +19,10 @@ using namespace jungle::amuse;
 using namespace jungle::amuse::experiment;
 
 // Standalone regression cases for interleavings the fault-schedule explorer
-// (src/explore/) found and this PR fixed. Each test installs a faultpoint
-// hook directly — no Explorer involved — so the cases stay runnable and
-// debuggable as ordinary unit tests. The invariant throughout: whatever the
+// (src/explore/) found. Each test replays a one-line schedule through
+// explore::ScheduleInjector — no DFS involved — so the cases stay runnable
+// and debuggable as ordinary unit tests (and each schedule is also an
+// `explore --replay` repro). The invariant throughout: whatever the
 // schedule breaks, recovery must land the physics bit-for-bit back on the
 // fault-free trajectory (same checkpoint-digest hash family as the
 // protocol itself) without leaking simulated processes.
@@ -39,24 +38,6 @@ std::string example_ini(const std::string& name) {
   text << in.rdbuf();
   return text.str();
 }
-
-/// One injection: crash a host (or cut a WAN link) the `occurrence`-th time
-/// the run reaches (point, iteration). Iteration -1 addresses points hit
-/// outside a bridge step (recovery internals, worker spawn); occurrence -1
-/// means "the first reach after the previous shot fired" — handy for points
-/// like spawn.worker that also fire during startup, where the absolute
-/// occurrence index depends on the topology rather than the scenario.
-struct Shot {
-  faultpoint::Point point;
-  int iteration = 0;
-  int occurrence = 0;
-  bool cut_link = false;
-  std::string victim;
-  /// Process-tier victim (PR 8): when non-empty, kill this process on the
-  /// victim host (e.g. "amuse-daemon", "job", "worker") instead of
-  /// crashing the machine — the supervised in-place recovery tier.
-  std::string kill_process;
-};
 
 struct Outcome {
   bool completed = false;
@@ -74,9 +55,14 @@ struct Outcome {
   double degraded_iterations = 0.0;
 };
 
+/// Runs triple-plummer under `schedule` (explore's replay format). A
+/// `network_fault` outside the injector's kinds — a link flap that heals,
+/// a partial stream failure — fires once, as the run reaches
+/// step.top_kick@1 (iteration 1 just completed).
 Outcome run_triple_plummer(
-    const std::vector<Shot>& shots,
-    const std::function<void(ExperimentSpec&)>& mutate = {}) {
+    const std::string& schedule,
+    const std::function<void(ExperimentSpec&)>& mutate = {},
+    const std::function<void(sim::Network&)>& network_fault = {}) {
   util::Config config = util::Config::parse(example_ini("triple-plummer.ini"));
   ExperimentSpec spec = ExperimentSpec::from_config(config);
   spec.checkpointing = true;
@@ -89,28 +75,19 @@ Outcome run_triple_plummer(
 
   JungleTestbed bed(config);
   Outcome out;
-  std::map<std::pair<int, int>, int> seen;
-  std::size_t next = 0;
+  explore::ScheduleInjector injector(bed.network(),
+                                    explore::parse_schedule(schedule));
   {
+    faultpoint::Hook inject = injector.hook();
+    bool network_faulted = false;
     faultpoint::ScopedHook guard([&](const faultpoint::Context& ctx) {
-      int occurrence = seen[{static_cast<int>(ctx.point), ctx.iteration}]++;
-      if (next >= shots.size()) return;
-      const Shot& shot = shots[next];
-      if (shot.point != ctx.point || shot.iteration != ctx.iteration) return;
-      if (shot.occurrence >= 0 && shot.occurrence != occurrence) return;
-      ++next;
-      if (shot.cut_link) {
-        bed.network().set_link_down(shot.victim, true);
-      } else {
-        sim::Host* victim = bed.network().find_host(shot.victim);
-        if (victim != nullptr && victim->is_up()) {
-          if (shot.kill_process.empty()) {
-            victim->crash();
-          } else {
-            victim->kill_process(shot.kill_process);
-          }
-        }
+      if (network_fault && !network_faulted &&
+          ctx.point == faultpoint::Point::step_top_kick &&
+          ctx.iteration == 1) {
+        network_faulted = true;
+        network_fault(bed.network());
       }
+      inject(ctx);
     });
     try {
       Result result = run_experiment(bed, spec);
@@ -135,7 +112,7 @@ Outcome run_triple_plummer(
       out.error = error.what();
     }
   }
-  out.fired = static_cast<int>(next);
+  out.fired = injector.fired();
   out.live = bed.simulation().live_processes();
   out.rollbacks = obs::metrics::counter_value("fault.rollbacks") - rollbacks0;
   out.rpc_retries = obs::metrics::counter_value("rpc.retries") - retries0;
@@ -147,7 +124,7 @@ Outcome run_triple_plummer(
 }
 
 const Outcome& golden() {
-  static Outcome gold = run_triple_plummer({});
+  static Outcome gold = run_triple_plummer("");
   return gold;
 }
 
@@ -179,8 +156,7 @@ TEST(Faults, CrashDuringCommitRollsBackAtomically) {
   // re-place and a rollback onto a *consistent* epoch, landing the replay
   // on the golden trajectory — a partial commit would leave mixed-epoch
   // checkpoints and a diverged final digest.
-  Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::ckpt_commit, 0, 0, false, "node0"}});
+  Outcome out = run_triple_plummer("ckpt.commit@0#0=crash:node0");
   EXPECT_EQ(out.fired, 1);
   EXPECT_GE(out.restarts, 1);
   expect_recovered_on_golden(out);
@@ -192,8 +168,7 @@ TEST(Faults, CrashDuringCaptureReplaysBitExact) {
   // conditions. This is the interleaving that exposed the corrector-force
   // hole: a restored integrator that re-evaluates forces instead of
   // carrying the checkpointed ones diverges by roundoff in its first step.
-  Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::ckpt_capture, 0, 0, false, "node0"}});
+  Outcome out = run_triple_plummer("ckpt.capture@0#0=crash:node0");
   EXPECT_EQ(out.fired, 1);
   EXPECT_GE(out.restarts, 1);
   expect_recovered_on_golden(out);
@@ -206,8 +181,7 @@ TEST(Faults, DoubleFaultDuringReplaceRecovers) {
   // replace loop must fold the new death into its exclusions and keep
   // going, not wedge on a worker it was about to start.
   Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::step_evolve, 1, 0, false, "node0"},
-       Shot{faultpoint::Point::recover_replace, -1, 0, false, "node1"}});
+      "step.evolve@1#0=crash:node0;recover.replace@-1#0=crash:node1");
   EXPECT_EQ(out.fired, 2);
   EXPECT_GE(out.restarts, 1);
   expect_recovered_on_golden(out);
@@ -220,8 +194,7 @@ TEST(Faults, WanCutMidStepBreaksIdleConnectionsToo) {
   // readers parked behind them) used to block forever — the leaked-process
   // hole. The link watcher's keepalive timeout must break them so every
   // stranded reader unwinds with a ConnectError and recovery proceeds.
-  Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::step_evolve, 0, 0, true, "metro-wan"}});
+  Outcome out = run_triple_plummer("step.evolve@0#0=link:metro-wan");
   EXPECT_EQ(out.fired, 1);
   EXPECT_GE(out.restarts, 1);
   expect_recovered_on_golden(out);
@@ -232,9 +205,10 @@ TEST(Faults, CrashDuringReplaceSpawnRetries) {
   // first crash: the daemon's bounded spawn retry must absorb a resource
   // dying at the worst moment — exactly when a replacement is being
   // started on it — and fall back to another node.
+  // Startup reaches spawn.worker@-1 once (#0), so #1 is the first spawn
+  // after the crash.
   Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::step_top_kick, 1, 0, false, "node0"},
-       Shot{faultpoint::Point::spawn_worker, -1, -1, false, "node1"}});
+      "step.top_kick@1#0=crash:node0;spawn.worker@-1#1=crash:node1");
   EXPECT_GE(out.fired, 1);  // second shot only fires if recovery respawns
   EXPECT_GE(out.restarts, 1);
   expect_recovered_on_golden(out);
@@ -249,8 +223,8 @@ TEST(Faults, CrashDuringInitialSpawnReplaces) {
   // model once (onto the client) and run on the golden trajectory.
   for (const char* victim : {"node0", "fs0"}) {
     SCOPED_TRACE(victim);
-    Outcome out = run_triple_plummer(
-        {Shot{faultpoint::Point::spawn_worker, -1, 0, false, victim}});
+    Outcome out = run_triple_plummer(std::string("spawn.worker@-1#0=crash:") +
+                                     victim);
     EXPECT_EQ(out.fired, 1);
     EXPECT_EQ(out.restarts, 1);
     EXPECT_NE(golden().placement.find("ringfield=octgrav@cluster/node0"),
@@ -273,9 +247,7 @@ TEST(Faults, DaemonKillRestartsInPlace) {
   // supervisor's backoff runs, but connect() backlogs into the server
   // socket's mailbox, so the restart is invisible to everyone — no
   // rollback, no re-placement, identical physics.
-  Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::step_evolve, 0, 0, false, "edge",
-            "amuse-daemon"}});
+  Outcome out = run_triple_plummer("step.evolve@0#0=daemon:edge");
   EXPECT_EQ(out.fired, 1);
   ASSERT_TRUE(out.completed) << out.error;
   EXPECT_EQ(out.restarts, 0);  // host not excluded, nothing re-placed
@@ -293,11 +265,8 @@ TEST(Faults, DaemonDoubleKillWithReplacementTraffic) {
   // pending. start_worker's connect backlogs in the accept queue until
   // the next accept-loop generation picks it up.
   Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::step_top_kick, 0, 0, false, "edge",
-            "amuse-daemon"},
-       Shot{faultpoint::Point::step_top_kick, 1, 0, false, "edge",
-            "amuse-daemon"},
-       Shot{faultpoint::Point::step_evolve, 1, -1, false, "node0"}});
+      "step.top_kick@0#0=daemon:edge;step.top_kick@1#0=daemon:edge;"
+      "step.evolve@1#0=crash:node0");
   EXPECT_GE(out.fired, 2);
   EXPECT_GE(out.restarts, 1);
   EXPECT_GE(out.supervisor_restarts, 2.0);
@@ -310,8 +279,7 @@ TEST(Faults, ProxyKillRecoversInPlaceWithoutReplacement) {
   // reports process_crash on the still-open relay; the script revives the
   // client, restores the committed state into the blank replacement and
   // replays — no exclusion, no re-placement.
-  Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::step_evolve, 1, 0, false, "node0", "job"}});
+  Outcome out = run_triple_plummer("step.evolve@1#0=proxy:node0");
   EXPECT_EQ(out.fired, 1);
   ASSERT_TRUE(out.completed) << out.error;
   EXPECT_GE(out.restarts, 1);  // a rollback+replay, but in place
@@ -326,8 +294,7 @@ TEST(Faults, WorkerKillEscalatesToSupervisedRestart) {
   // pump sees the abnormal break, escalates (aborts its registry
   // connection and unwinds the relay), the registry broadcasts died, and
   // from there recovery is the same supervised in-place path.
-  Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::step_evolve, 1, 0, false, "node0", "worker"}});
+  Outcome out = run_triple_plummer("step.evolve@1#0=worker:node0");
   EXPECT_EQ(out.fired, 1);
   ASSERT_TRUE(out.completed) << out.error;
   EXPECT_GE(out.restarts, 1);
@@ -342,10 +309,8 @@ TEST(Faults, LinkFlapCompletesThroughRetriesWithoutRollback) {
   // ride out the outage through hop retries plus idempotent resends; no
   // worker is declared dead, nothing rolls back, and the physics is
   // untouched — only the clock stretches.
-  Outcome out = run_triple_plummer({}, [](ExperimentSpec& spec) {
-    spec.flap_link = "metro-wan";
-    spec.flap_after_iteration = 1;
-    spec.flap_down_s = 2.0;
+  Outcome out = run_triple_plummer("", {}, [](sim::Network& net) {
+    net.flap_link("metro-wan", /*down_s=*/2.0);
   });
   ASSERT_TRUE(out.completed) << out.error;
   EXPECT_EQ(out.restarts, 0);
@@ -365,16 +330,11 @@ TEST(Faults, ProxyKillMidStripedTransferDegradesAndRecovers) {
   auto enlarge = [](ExperimentSpec& spec) {
     spec.models[0].n = 1400;  // 7 doubles/particle: ~78 KiB, > the 64 KiB stripe threshold
   };
-  Outcome baseline = run_triple_plummer({}, enlarge);
+  Outcome baseline = run_triple_plummer("", enlarge);
   ASSERT_TRUE(baseline.completed) << baseline.error;
   Outcome out = run_triple_plummer(
-      {Shot{faultpoint::Point::ckpt_capture, 1, 0, false, "node0", "job"}},
-      [&](ExperimentSpec& spec) {
-        spec.models[0].n = 1400;
-        spec.flap_link = "metro-wan";
-        spec.flap_after_iteration = 1;
-        spec.flap_streams = 6;
-        spec.flap_streams_heal_s = 0.0;  // stay failed for the rest
+      "ckpt.capture@1#0=proxy:node0", enlarge, [](sim::Network& net) {
+        net.fail_streams("metro-wan", 6, /*heal_s=*/0.0);  // stay failed
       });
   ASSERT_TRUE(out.completed) << out.error;
   EXPECT_EQ(out.fired, 1);

@@ -14,6 +14,7 @@
 #include "amuse/ic.hpp"
 #include "amuse/scenario.hpp"
 #include "amuse/workers.hpp"
+#include "explore/explore.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
@@ -457,11 +458,15 @@ TEST(Diagnostics, IterationLogMarksReplayedStepsDistinctly) {
   auto plan =
       scenario::placement_for(probe, scenario::Kind::autoplace, options);
   ASSERT_NE(plan.role(sched::Role::gravity).host, nullptr);
-  options.kill_host = plan.role(sched::Role::gravity).host->name();
-  options.kill_after_iteration = 1;
+  std::string gravity_host = plan.role(sched::Role::gravity).host->name();
 
-  scenario::Result result =
-      scenario::run_scenario(scenario::Kind::autoplace, options);
+  scenario::JungleTestbed bed;
+  explore::ScheduleInjector injector(
+      bed.network(),
+      explore::parse_schedule("step.top_kick@1#0=crash:" + gravity_host));
+  faultpoint::ScopedHook hook(injector.hook());
+  scenario::Result result = experiment::run_experiment(
+      bed, scenario::classic_spec(scenario::Kind::autoplace, options));
   EXPECT_GE(result.restarts, 1);
   ASSERT_EQ(result.iteration_log.size(), 3u);
   EXPECT_FALSE(result.iteration_log[0].replay);

@@ -3,7 +3,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "amuse/faultpoint.hpp"
 #include "amuse/scenario.hpp"
+#include "explore/explore.hpp"
 
 using namespace jungle::amuse::scenario;
 
@@ -26,6 +28,20 @@ jungle::util::Config load_topology(const std::string& name) {
   std::ostringstream text;
   text << in.rdbuf();
   return jungle::util::Config::parse(text.str());
+}
+
+/// run_scenario(Kind::autoplace, options), with `host` crashed as the run
+/// reaches bridge step `step` (after `step` completed iterations).
+Result run_autoplace_crashing(const Options& options, const std::string& host,
+                              int step) {
+  JungleTestbed bed;
+  jungle::explore::ScheduleInjector injector(
+      bed.network(),
+      jungle::explore::parse_schedule("step.top_kick@" + std::to_string(step) +
+                                      "#0=crash:" + host));
+  jungle::amuse::faultpoint::ScopedHook hook(injector.hook());
+  return jungle::amuse::experiment::run_experiment(
+      bed, classic_spec(Kind::autoplace, options));
 }
 
 }  // namespace
@@ -247,10 +263,7 @@ TEST(Scenario, AutoplaceFaultReplacementCompletesRun) {
 
   Result clean = run_scenario(Kind::autoplace, options);
 
-  Options faulty = options;
-  faulty.kill_host = gravity_host;
-  faulty.kill_after_iteration = 1;
-  Result recovered = run_scenario(Kind::autoplace, faulty);
+  Result recovered = run_autoplace_crashing(options, gravity_host, 1);
   EXPECT_EQ(recovered.restarts, 1);
   EXPECT_EQ(recovered.iterations, options.iterations);
   // The re-placed map must not use the dead machine.
@@ -262,9 +275,9 @@ TEST(Scenario, AutoplaceFaultReplacementCompletesRun) {
   // recovered pipelined run lands bit-exactly on the synchronous baseline
   // recovering from the same fault — a stale client state cache or coupler
   // source/accel cache would diverge the replayed trajectory.
-  Options faulty_sync = faulty;
-  faulty_sync.datapath = Datapath::synchronous;
-  Result recovered_sync = run_scenario(Kind::autoplace, faulty_sync);
+  Options options_sync = options;
+  options_sync.datapath = Datapath::synchronous;
+  Result recovered_sync = run_autoplace_crashing(options_sync, gravity_host, 1);
   EXPECT_EQ(recovered_sync.restarts, 1);
   EXPECT_DOUBLE_EQ(recovered.bound_gas_fraction,
                    recovered_sync.bound_gas_fraction);

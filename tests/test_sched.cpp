@@ -10,22 +10,27 @@ using jungle::amuse::scenario::Kind;
 
 namespace {
 
-Workload small_load() {
+/// The classic embedded-cluster quadruple: gravity, hydro, the coupler
+/// bridging them and stellar evolution on the stars, in that slot order.
+Workload classic_load(std::size_t n_stars, std::size_t n_gas) {
   Workload load;
-  load.n_stars = 200;
-  load.n_gas = 800;
+  load.models.push_back({"gravity", Role::gravity, n_stars, -1, "", 0});
+  load.models.push_back({"hydro", Role::hydro, n_gas, -1, "", 0});
+  load.models.push_back({"coupler", Role::coupler, 0, -1, "", 0});
+  load.models.push_back({"stellar", Role::stellar, n_stars, 0, "", 0});
+  load.couplings.push_back({2, 0, 1, 1});
+  return load;
+}
+
+Workload small_load() {
+  Workload load = classic_load(200, 800);
   load.iterations = 4;
   return load;
 }
 
 /// The paper's production size: at this scale compute dominates messaging
 /// and the remote placements win (the Figs 9/12 regime).
-Workload production_load() {
-  Workload load;
-  load.n_stars = 1000;
-  load.n_gas = 10000;
-  return load;
-}
+Workload production_load() { return classic_load(1000, 10000); }
 
 /// A one-machine world: desktop only, optionally without its GPU — the
 /// paper's local-CPU configuration as a topology.
@@ -141,9 +146,7 @@ TEST(Sched, CostModelMonotoneInQueueDelay) {
 TEST(Sched, PrefersGpuForTreeKernelsWhenGpuDominates) {
   // Enough stars that gravity dominates the evolve phase: a remote Tesla
   // across a fast link beats the 0.15 GF/core desktop.
-  Workload load = production_load();
-  load.n_stars = 2000;
-  load.n_gas = 500;
+  Workload load = classic_load(2000, 500);
   RemoteWorld world(0.5e-3, 0.0, /*node_gpu_gflops=*/6.0);
   Scheduler scheduler(world.net, *world.desktop, world.resources);
   Placement p = scheduler.plan(load);
@@ -280,11 +283,7 @@ TEST(Sched, CommTermMatchesMeasuredSteadyStateWanBytes) {
   double measured_per_step =
       (long_run.wan_ipl_bytes - short_run.wan_ipl_bytes) / 2.0;
 
-  Workload load;
-  load.n_stars = options.n_stars;
-  load.n_gas = options.n_gas;
-  load.with_stellar_evolution = false;
-  DatapathBytes wire = datapath_bytes(load);
+  DatapathBytes wire = datapath_bytes(options.n_stars, options.n_gas);
   // Only the coupler is remote in the remote_gpu configuration: one fresh
   // exchange + one all-cache-hit exchange per step.
   double modeled_per_step = wire.coupler_upload + wire.coupler_reply +

@@ -1,7 +1,7 @@
 // explore — fault-schedule explorer CLI.
 //
 //   explore <experiment.ini> [--max-faults N] [--max-schedules N]
-//           [--iterations N] [--no-links] [--fail-out FILE]
+//           [--iterations N] [--fail-out FILE]
 //           [--victims host,daemon,proxy,worker,timer,link]
 //   explore <experiment.ini> --replay "<schedule>"
 //
@@ -11,6 +11,11 @@
 // when any schedule violates an invariant; each violating schedule is a
 // one-line repro for --replay. --fail-out appends violating schedules to a
 // file (one per line) for CI artifact upload.
+//
+// --replay runs one schedule and checks it against the golden run; it is
+// also how to inject a chosen fault from the command line (experiment
+// INIs carry no fault switches). E.g. crash node0 after iteration 1:
+//   explore triple-plummer.ini --replay "step.top_kick@1#0=crash:node0"
 
 #include <fstream>
 #include <iostream>
@@ -26,9 +31,12 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <experiment.ini> [--max-faults N] [--max-schedules N]"
-               " [--iterations N] [--no-links] [--fail-out FILE]"
+               " [--iterations N] [--fail-out FILE]"
                " [--victims host,daemon,proxy,worker,timer,link]"
-               " [--replay \"<schedule>\"]\n";
+               " [--replay \"<schedule>\"]\n"
+               "  <schedule> = point@iteration#occurrence=kind:victim[;...],"
+               " e.g. \"step.top_kick@1#0=crash:node0\" crashes node0 after"
+               " iteration 1\n";
   return 2;
 }
 
@@ -95,8 +103,6 @@ int main(int argc, char** argv) {
       options.max_schedules = std::stoi(value());
     else if (arg == "--iterations")
       options.iterations = std::stoi(value());
-    else if (arg == "--no-links")
-      options.link_faults = false;
     else if (arg == "--victims")
       options.victim_kinds = parse_victims(value());
     else if (arg == "--replay")
