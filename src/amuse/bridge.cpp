@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <optional>
 
 #include "amuse/faultpoint.hpp"
 #include "obs/trace.hpp"
@@ -13,14 +14,16 @@ namespace jungle::amuse {
 
 namespace {
 
-/// A cross-gravity query in flight: which coupling direction it answers and
-/// which system the resulting acceleration kicks.
+/// A cross-gravity query: which coupling direction it answers, which system
+/// the resulting acceleration kicks, and either the reply in flight or the
+/// accel the field client already holds for the same inputs.
 struct PendingQuery {
   int coupling;
   int dir;      // 0 = accel on a (sources b), 1 = accel on b (sources a)
   int target;   // system index the accel applies to
   int source;   // system index whose particles are the sources
-  Future reply;
+  std::optional<Future> reply;
+  const std::vector<Vec3>* cached = nullptr;
 };
 
 /// Accumulates one target system's per-coupling accelerations into a
@@ -162,25 +165,30 @@ void Bridge::cross_kick(const std::vector<int>& active) {
 
   // Phase 1 — every involved system's state, fetched concurrently: one
   // round trip, and only the fields the coupling consumes (mass+position)
-  // that actually changed since the cached copy.
+  // that actually changed since the cached copy. A system whose cached
+  // coupling fields are provably current (nothing moved a mass or a
+  // position since its last fetch: the post-kick phase, unless stellar
+  // evolution changed masses) is not asked at all.
   {
     obs::trace::Span phase = obs::trace::span("state_fetch", "bridge");
-    std::vector<Future> state_replies;
+    std::vector<std::pair<int, Future>> state_replies;
     state_replies.reserve(involved.size());
     for (int i : involved) {
-      state_replies.push_back(
-          systems_[i].dynamics->request_state(state_field::coupling));
+      DynamicsClient& sys = *systems_[i].dynamics;
+      if (sys.coupling_current()) continue;
+      state_replies.emplace_back(i,
+                                 sys.request_state(state_field::coupling));
     }
-    for (std::size_t k = 0; k < involved.size(); ++k) {
-      systems_[involved[k]].dynamics->merge_state(state_replies[k],
-                                                  state_field::coupling);
+    for (auto& [i, reply] : state_replies) {
+      systems_[i].dynamics->merge_state(reply, state_field::coupling);
     }
   }
 
   // Phase 2 — every cross-gravity query in flight together, ordered by
   // target system. Sources and evaluation points ride along only when
-  // their content id changed; an unchanged pair is answered from the
-  // coupler's cache without recompute.
+  // their content id changed. A query whose inputs match the accel the
+  // field client already holds for its tag needs no round trip: the coupler
+  // would answer "unchanged" and the held accel would be used.
   obs::trace::Span queries_phase = obs::trace::span("field_queries", "bridge");
   std::vector<PendingQuery> queries;
   for (int target : involved) {
@@ -191,11 +199,15 @@ void Bridge::cross_kick(const std::vector<int>& active) {
       int source = coupling.a == target ? coupling.b : coupling.a;
       DynamicsClient& src = *systems_[source].dynamics;
       DynamicsClient& tgt = *systems_[target].dynamics;
-      PendingQuery query{
-          c, dir, target, source,
-          coupling.field->accel_for_async(
-              pair_field_tag(c, dir), src.coupling_sources_id(), src.mass(),
-              src.position(), tgt.position_id(), tgt.position())};
+      PendingQuery query{c, dir, target, source, std::nullopt,
+                         coupling.field->cached_accel(
+                             pair_field_tag(c, dir), src.coupling_sources_id(),
+                             tgt.position_id())};
+      if (query.cached == nullptr) {
+        query.reply = coupling.field->accel_for_async(
+            pair_field_tag(c, dir), src.coupling_sources_id(), src.mass(),
+            src.position(), tgt.position_id(), tgt.position());
+      }
       queries.push_back(std::move(query));
     }
   }
@@ -210,8 +222,11 @@ void Bridge::cross_kick(const std::vector<int>& active) {
     for (PendingQuery& query : queries) {
       if (query.target != target) continue;
       const Coupling& coupling = couplings_[query.coupling];
-      const std::vector<Vec3>& accel = coupling.field->finish_accel(
-          pair_field_tag(query.coupling, query.dir), query.reply);
+      const std::vector<Vec3>& accel =
+          query.cached != nullptr
+              ? *query.cached
+              : coupling.field->finish_accel(
+                    pair_field_tag(query.coupling, query.dir), *query.reply);
       kick.add(accel, coupling.every * config_.dt / 2.0,
                systems_[target].name);
       trace_.push_back("kick:" + systems_[query.source].name + "->" +

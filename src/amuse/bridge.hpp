@@ -22,9 +22,15 @@ namespace jungle::amuse {
 /// field queries, kicks) issues every system's calls as concurrent futures,
 /// so one WAN round trip is paid per phase instead of one per call, and the
 /// delta state exchange keeps unchanged fields off the wire entirely. The
-/// pre-overhaul serial path is kept behind Config::synchronous_datapath as
-/// the baseline the data-path bench compares against (bit-identical
-/// physics, more round trips and bytes).
+/// post-kick cross-kick (top of every step but the first) is kick-only:
+/// systems whose cached coupling fields are provably current skip the state
+/// fetch (DynamicsClient::coupling_current), and queries whose inputs match
+/// the accel the field client holds skip the round trip
+/// (FieldClient::cached_accel). A stellar update that changes masses brings
+/// back the fetch and the queries it affects. The pre-overhaul serial path
+/// is kept behind Config::synchronous_datapath as the baseline the
+/// data-path bench compares against (bit-identical physics, every round
+/// trip, more bytes).
 class Bridge {
  public:
   /// One evolving model in the graph. The name feeds the call trace

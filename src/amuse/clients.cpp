@@ -111,12 +111,14 @@ void GravityClient::add_particles(std::span<const double> masses,
   put_span_of(args, masses);
   put_span_of(args, positions);
   put_span_of(args, velocities);
+  coupling_changed();
   rpc_->call_sync(Fn::grav_add_particles, std::move(args));
 }
 
 Future GravityClient::evolve_async(double t_end) {
   util::ByteWriter args = RpcClient::request();
   args.put<double>(t_end);
+  coupling_changed();
   return rpc_->call(Fn::grav_evolve, std::move(args));
 }
 
@@ -127,6 +129,7 @@ Future GravityClient::request_state(std::uint64_t want_mask) {
   if (fp32_positions_ && (want_mask & state_field::position)) {
     wire_mask |= state_field::fp32_positions;
   }
+  coupling_requested(want_mask, info_.delta_enabled);
   return rpc_->call(Fn::grav_get_state, state_request(info_, wire_mask));
 }
 
@@ -146,6 +149,7 @@ const GravityState& GravityClient::finish_state(Future& reply,
     merge_field(reader, cache_.velocity);
   }
   commit_delta(info_, header, want_mask & ~state_field::fp32_positions);
+  coupling_merged();
   return cache_;
 }
 
@@ -169,6 +173,7 @@ Future GravityClient::kick_async(std::span<const Vec3> accel, double dt) {
 void GravityClient::set_masses(std::span<const double> masses) {
   util::ByteWriter args = RpcClient::request();
   put_span_of(args, masses);
+  coupling_changed();
   rpc_->call_sync(Fn::grav_set_masses, std::move(args));
 }
 
@@ -177,6 +182,7 @@ void GravityClient::set_masses_sparse(std::span<const std::int32_t> indices,
   util::ByteWriter args = RpcClient::request();
   put_span_of(args, indices);
   put_span_of(args, masses);
+  if (!indices.empty()) coupling_changed();
   rpc_->call_sync(Fn::grav_set_masses_sparse, std::move(args));
 }
 
@@ -184,10 +190,14 @@ double GravityClient::model_time() {
   return rpc_->call_sync(Fn::grav_get_time, {}).get<double>();
 }
 
-void GravityClient::get_dynamics(std::vector<Vec3>& acc,
-                                 std::vector<Vec3>& jerk,
-                                 double& model_time) {
-  auto reader = rpc_->call_sync(Fn::grav_get_dynamics, {});
+Future GravityClient::request_dynamics() {
+  return rpc_->call(Fn::grav_get_dynamics, {});
+}
+
+void GravityClient::finish_dynamics(Future& reply, std::vector<Vec3>& acc,
+                                    std::vector<Vec3>& jerk,
+                                    double& model_time) {
+  util::ByteReader reader = reply.get();
   model_time = reader.get<double>();
   acc = reader.get_vector<Vec3>();
   jerk = reader.get_vector<Vec3>();
@@ -200,10 +210,12 @@ void GravityClient::set_dynamics(std::span<const Vec3> acc,
   args.put<double>(model_time);
   put_span_of(args, acc);
   put_span_of(args, jerk);
+  coupling_changed();
   rpc_->call_sync(Fn::grav_set_dynamics, std::move(args));
 }
 
 void GravityClient::reset_model() {
+  coupling_changed();
   rpc_->call_sync(Fn::grav_reset, {});
 }
 
@@ -211,6 +223,7 @@ void GravityClient::set_shard(std::size_t lo, std::size_t hi) {
   util::ByteWriter args = RpcClient::request();
   args.put<std::uint64_t>(lo);
   args.put<std::uint64_t>(hi);
+  coupling_changed();
   rpc_->call_sync(Fn::grav_set_shard, std::move(args));
 }
 
@@ -302,11 +315,29 @@ const std::vector<Vec3>& FieldClient::finish_accel(FieldTag tag,
     if (!record.has_accel) {
       throw CodeError("field: unchanged reply without a cached accel");
     }
-    return record.accel;
+  } else {
+    record.accel = reader.get_vector<Vec3>();
+    record.has_accel = true;
   }
-  record.accel = reader.get_vector<Vec3>();
-  record.has_accel = true;
+  // One query per tag is in flight at a time, so the reply answers the
+  // inputs the record last sent.
+  record.accel_sources_id = record.sources_id;
+  record.accel_points_id = record.points_id;
   return record.accel;
+}
+
+const std::vector<Vec3>* FieldClient::cached_accel(FieldTag tag,
+                                                   StateId sources_id,
+                                                   StateId points_id) const {
+  if (!delta_enabled_ || sources_id == 0 || points_id == 0) return nullptr;
+  auto it = tags_.find(static_cast<std::uint64_t>(tag));
+  if (it == tags_.end()) return nullptr;
+  const TagRecord& record = it->second;
+  if (!record.has_accel || record.accel_sources_id != sources_id ||
+      record.accel_points_id != points_id) {
+    return nullptr;
+  }
+  return &record.accel;
 }
 
 void HydroClient::set_params(double eps2, double theta) {
@@ -325,12 +356,14 @@ void HydroClient::add_gas(std::span<const double> masses,
   put_span_of(args, positions);
   put_span_of(args, velocities);
   put_span_of(args, internal_energies);
+  coupling_changed();
   rpc_->call_sync(Fn::hydro_add_gas, std::move(args));
 }
 
 Future HydroClient::evolve_async(double t_end) {
   util::ByteWriter args = RpcClient::request();
   args.put<double>(t_end);
+  coupling_changed();
   return rpc_->call(Fn::hydro_evolve, std::move(args));
 }
 
@@ -339,6 +372,7 @@ Future HydroClient::request_state(std::uint64_t want_mask) {
   if (fp32_positions_ && (want_mask & state_field::position)) {
     wire_mask |= state_field::fp32_positions;
   }
+  coupling_requested(want_mask, info_.delta_enabled);
   return rpc_->call(Fn::hydro_get_state, state_request(info_, wire_mask));
 }
 
@@ -364,6 +398,7 @@ const HydroState& HydroClient::finish_state(Future& reply,
     merge_field(reader, cache_.density);
   }
   commit_delta(info_, header, want_mask & ~state_field::fp32_positions);
+  coupling_merged();
   return cache_;
 }
 
@@ -393,13 +428,18 @@ void HydroClient::inject(std::span<const std::int32_t> indices,
   rpc_->call_sync(Fn::hydro_inject, std::move(args));
 }
 
-double HydroClient::model_time() {
-  return rpc_->call_sync(Fn::hydro_get_time, {}).get<double>();
+Future HydroClient::request_time() {
+  return rpc_->call(Fn::hydro_get_time, {});
+}
+
+double HydroClient::finish_time(Future& reply) {
+  return reply.get().get<double>();
 }
 
 void HydroClient::set_time(double model_time) {
   util::ByteWriter args = RpcClient::request();
   args.put<double>(model_time);
+  coupling_changed();
   rpc_->call_sync(Fn::hydro_set_time, std::move(args));
 }
 

@@ -57,6 +57,16 @@ struct DeltaCacheInfo {
 /// GravityClient and HydroClient implement it; the generalized Bridge and
 /// the Experiment runner hold systems through this interface instead of
 /// being hard-wired to exactly one gravity and one hydro proxy.
+///
+/// The client also knows when its cached coupling fields are provably
+/// current: a fetch covering mass and position was merged, and no call that
+/// can move a mass or a position has been issued since. The calls that mark
+/// the cache stale mirror the worker's StateEpochs::bump of mass|position:
+/// evolve, particle loads, mass updates (a sparse one only when it lists
+/// particles), dynamics/clock restores, shard reset/priming, and a reset of
+/// the delta caches. Kicks and thermal injection leave it current. The
+/// pipelined bridge skips the state fetch of a current system: that fetch
+/// would come back "unchanged".
 class DynamicsClient {
  public:
   virtual ~DynamicsClient() = default;
@@ -103,6 +113,30 @@ class DynamicsClient {
   /// shard's RPC so death_cause/try_revive see the actual casualty.
   virtual RpcClient& fault_rpc() { return rpc(); }
   virtual void close() = 0;
+
+  /// The cached mass and position, and their content ids, match the
+  /// worker's (see the class comment). Never true with delta exchange off.
+  bool coupling_current() const noexcept { return coupling_current_; }
+
+ protected:
+  /// A call that can move a mass or a position was issued.
+  void coupling_changed() noexcept {
+    coupling_current_ = false;
+    coupling_fetch_fresh_ = false;
+  }
+  /// A state fetch was issued: it sees everything issued before it.
+  void coupling_requested(std::uint64_t want_mask, bool delta) noexcept {
+    coupling_fetch_fresh_ =
+        delta && (want_mask & state_field::coupling) == state_field::coupling;
+  }
+  /// That fetch was merged into the cache.
+  void coupling_merged() noexcept {
+    if (coupling_fetch_fresh_) coupling_current_ = true;
+  }
+
+ private:
+  bool coupling_current_ = false;
+  bool coupling_fetch_fresh_ = false;
 };
 
 /// GravitationalDynamics interface (phiGRAPE worker). The bulk operations
@@ -151,9 +185,12 @@ class GravityClient : public DynamicsClient {
                                  std::span<const double> masses);
   double model_time() override;
   /// Fetch the integrator's dynamic state — corrector-stage forces plus the
-  /// absolute model time — for checkpointing.
-  virtual void get_dynamics(std::vector<Vec3>& acc, std::vector<Vec3>& jerk,
-                            double& model_time);
+  /// absolute model time — for checkpointing, in two halves: a checkpoint
+  /// capture issues the request next to the state fetch and finishes both
+  /// later.
+  virtual Future request_dynamics();
+  virtual void finish_dynamics(Future& reply, std::vector<Vec3>& acc,
+                               std::vector<Vec3>& jerk, double& model_time);
   /// Install checkpointed dynamics into a fresh worker: the replayed step
   /// then resumes the checkpointed integrator's exact substep sequence.
   virtual void set_dynamics(std::span<const Vec3> acc,
@@ -167,6 +204,7 @@ class GravityClient : public DynamicsClient {
   void set_delta_exchange(bool enabled) override {
     info_.delta_enabled = enabled;
     kick_primed_ = false;
+    coupling_changed();
   }
 
   void reset_delta_caches() override {
@@ -175,6 +213,7 @@ class GravityClient : public DynamicsClient {
     info_.delta_enabled = delta;
     last_kick_.clear();
     kick_primed_ = false;
+    coupling_changed();
   }
 
   RpcClient& rpc() noexcept override { return *rpc_; }
@@ -234,6 +273,11 @@ class FieldClient {
                          std::span<const Vec3> source_position,
                          StateId points_id, std::span<const Vec3> points);
   const std::vector<Vec3>& finish_accel(FieldTag tag, Future& reply);
+  /// The accel already held for `tag` computed from exactly these inputs
+  /// (both ids non-zero), or nullptr. The worker would answer such a query
+  /// "unchanged", so the pipelined bridge uses it without the round trip.
+  const std::vector<Vec3>* cached_accel(FieldTag tag, StateId sources_id,
+                                        StateId points_id) const;
 
   void set_delta_exchange(bool enabled) { delta_enabled_ = enabled; }
 
@@ -246,9 +290,11 @@ class FieldClient {
 
  private:
   struct TagRecord {
-    StateId sources_id = 0;
+    StateId sources_id = 0;  // last inputs sent (what the worker caches)
     StateId points_id = 0;
     std::vector<Vec3> accel;
+    StateId accel_sources_id = 0;  // the inputs `accel` was computed from
+    StateId accel_points_id = 0;
     bool has_accel = false;
   };
 
@@ -297,7 +343,14 @@ class HydroClient : public DynamicsClient {
   }
   void inject(std::span<const std::int32_t> indices,
               std::span<const double> delta_u);
-  double model_time() override;
+  double model_time() override {
+    Future reply = request_time();
+    return finish_time(reply);
+  }
+  /// Pipelined halves of model_time (a checkpoint capture issues the clock
+  /// fetch next to the state fetch).
+  Future request_time();
+  static double finish_time(Future& reply);
   /// Restore the absolute model clock into a fresh worker (checkpoint
   /// restart) so it accepts the same absolute evolve targets as the one it
   /// replaces.
@@ -310,6 +363,7 @@ class HydroClient : public DynamicsClient {
   void set_delta_exchange(bool enabled) override {
     info_.delta_enabled = enabled;
     kick_primed_ = false;
+    coupling_changed();
   }
 
   void reset_delta_caches() override {
@@ -318,6 +372,7 @@ class HydroClient : public DynamicsClient {
     info_.delta_enabled = delta;
     last_kick_.clear();
     kick_primed_ = false;
+    coupling_changed();
   }
 
   RpcClient& rpc() noexcept override { return *rpc_; }

@@ -721,15 +721,31 @@ struct ModelRuntime {
     }
   }
 
-  /// Snapshot the live worker into slot i of a staged graph checkpoint.
-  /// Stellar models save nothing: they re-derive from their ZAMS masses.
-  void capture(GraphCheckpoint& save, std::size_t i, const ModelSpec& model) {
+  /// A capture in flight (empty for field and stellar models, whose
+  /// snapshot needs no worker call).
+  struct Capture {
+    std::optional<GravityCapture> gravity;
+    std::optional<HydroCapture> hydro;
+  };
+
+  /// Issue the worker calls of this model's snapshot.
+  Capture request_capture() {
+    Capture calls;
+    if (gravity) calls.gravity = amuse::request_capture(*gravity);
+    if (hydro) calls.hydro = amuse::request_capture(*hydro);
+    return calls;
+  }
+
+  /// Finish the snapshot into slot i of a staged graph checkpoint. Stellar
+  /// models save nothing: they re-derive from their ZAMS masses.
+  void finish_capture(Capture& calls, GraphCheckpoint& save, std::size_t i,
+                      const ModelSpec& model) {
     if (gravity) {
-      save.gravity[i] = checkpoint_gravity(*gravity);
+      save.gravity[i] = amuse::finish_capture(*gravity, *calls.gravity);
       save.gravity[i].eps2 = model.eps2;
       save.gravity[i].eta = model.eta;
     } else if (hydro) {
-      save.hydro[i] = checkpoint_hydro(*hydro);
+      save.hydro[i] = amuse::finish_capture(*hydro, *calls.hydro);
       save.hydro[i].eps2 = model.eps2;
       save.hydro[i].theta = model.theta;
     } else if (field) {
@@ -1071,7 +1087,9 @@ class GraphRunner {
   /// Checkpointing itself talks to the workers and can die mid-way: stage
   /// the whole graph into a fresh snapshot, then install it with one move
   /// — the commit is atomic across the graph, so no interleaving of deaths
-  /// can leave mixed-epoch checkpoints.
+  /// can leave mixed-epoch checkpoints. Every model's capture calls are in
+  /// flight together (one round trip for the graph, not two per model);
+  /// the replies are read in model order once all are issued.
   void commit_checkpoint() {
     obs::trace::Span ckpt = obs::trace::span("checkpoint", "fault");
     double ckpt_start = now();
@@ -1079,10 +1097,15 @@ class GraphRunner {
     staged.epoch = completed_ + 1;
     staged.time = bridge_->time();
     staged.resize(models_.size());
+    std::vector<ModelRuntime::Capture> captures;
+    captures.reserve(models_.size());
     for (std::size_t i = 0; i < models_.size(); ++i) {
       faultpoint::reach(faultpoint::Point::ckpt_capture, completed_,
                         spec_.models[i].name);
-      models_[i].capture(staged, i, spec_.models[i]);
+      captures.push_back(models_[i].request_capture());
+    }
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      models_[i].finish_capture(captures[i], staged, i, spec_.models[i]);
     }
     // Named per-model commit slots: the window where a non-atomic protocol
     // would interleave. Injections here prove there is no state in which

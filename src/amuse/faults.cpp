@@ -86,18 +86,35 @@ std::uint64_t digest(const GraphCheckpoint& save) {
   return hash;
 }
 
-GravityCheckpoint checkpoint_gravity(GravityClient& gravity) {
+GravityCapture request_capture(GravityClient& gravity) {
+  Future state = gravity.request_state(state_field::gravity_all);
+  return {std::move(state), gravity.request_dynamics()};
+}
+
+GravityCheckpoint finish_capture(GravityClient& gravity,
+                                 GravityCapture& calls) {
   GravityCheckpoint save;
-  save.state = gravity.get_state();
-  gravity.get_dynamics(save.acc, save.jerk, save.model_time);
+  save.state = gravity.finish_state(calls.state, state_field::gravity_all);
+  gravity.finish_dynamics(calls.dynamics, save.acc, save.jerk,
+                          save.model_time);
   return save;
 }
 
-HydroCheckpoint checkpoint_hydro(HydroClient& hydro) {
+HydroCapture request_capture(HydroClient& hydro) {
+  Future state = hydro.request_state(state_field::hydro_all);
+  return {std::move(state), hydro.request_time()};
+}
+
+HydroCheckpoint finish_capture(HydroClient& hydro, HydroCapture& calls) {
   HydroCheckpoint save;
-  save.state = hydro.get_state();
-  save.model_time = hydro.model_time();
+  save.state = hydro.finish_state(calls.state, state_field::hydro_all);
+  save.model_time = HydroClient::finish_time(calls.time);
   return save;
+}
+
+GravityCheckpoint checkpoint_gravity(GravityClient& gravity) {
+  GravityCapture calls = request_capture(gravity);
+  return finish_capture(gravity, calls);
 }
 
 FieldCheckpoint checkpoint_field(FieldClient& field) {

@@ -86,8 +86,26 @@ std::uint64_t digest(const FieldCheckpoint& save);
 
 /// Snapshot live workers.
 GravityCheckpoint checkpoint_gravity(GravityClient& gravity);
-HydroCheckpoint checkpoint_hydro(HydroClient& hydro);
 FieldCheckpoint checkpoint_field(FieldClient& field);
+
+/// Worker snapshots in two halves, so a graph checkpoint pays one round
+/// trip for all its models: request_capture issues a model's capture calls
+/// as futures (full state plus dynamics, or full state plus clock),
+/// finish_capture reads the replies. Nothing may be issued to the model in
+/// between.
+struct GravityCapture {
+  Future state;
+  Future dynamics;
+};
+struct HydroCapture {
+  Future state;
+  Future time;
+};
+GravityCapture request_capture(GravityClient& gravity);
+GravityCheckpoint finish_capture(GravityClient& gravity,
+                                 GravityCapture& calls);
+HydroCapture request_capture(HydroClient& hydro);
+HydroCheckpoint finish_capture(HydroClient& hydro, HydroCapture& calls);
 
 /// Restore a checkpoint into a *fresh* worker (local or remote). The
 /// restored worker resumes on the *absolute* clock: its model time is the

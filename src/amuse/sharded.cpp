@@ -53,6 +53,7 @@ void ShardedGravityClient::add_particles(std::span<const double> masses,
                                          std::span<const Vec3> positions,
                                          std::span<const Vec3> velocities) {
   drain_pending();
+  coupling_changed();
   cache_.mass.assign(masses.begin(), masses.end());
   cache_.position.assign(positions.begin(), positions.end());
   cache_.velocity.assign(velocities.begin(), velocities.end());
@@ -105,6 +106,7 @@ void ShardedGravityClient::exchange_ghosts() {
 
 Future ShardedGravityClient::evolve_async(double t_end) {
   drain_pending();
+  coupling_changed();
   // Per-connection FIFO orders each shard's ghost frames (still in flight in
   // pending_) before its evolve — no barrier needed between push and evolve.
   exchange_ghosts();
@@ -119,6 +121,7 @@ Future ShardedGravityClient::request_state(std::uint64_t want_mask) {
   // Do NOT drain here: state requests deliberately pipeline behind in-flight
   // evolves on each shard's connection. finish_state drains.
   pending_state_.clear();
+  coupling_requested(want_mask, info_.delta_enabled);
   Future head = subs_[0]->request_state(want_mask);
   for (std::size_t k = 1; k < subs_.size(); ++k) {
     pending_state_.push_back(subs_[k]->request_state(want_mask));
@@ -146,6 +149,7 @@ const GravityState& ShardedGravityClient::finish_state(
     }
   }
   pending_state_.clear();
+  coupling_merged();
   return cache_;
 }
 
@@ -200,6 +204,7 @@ Future ShardedGravityClient::kick_async(std::span<const Vec3> accel,
 
 void ShardedGravityClient::set_masses(std::span<const double> masses) {
   drain_pending();
+  coupling_changed();
   cache_.mass.assign(masses.begin(), masses.end());
   for (auto& sub : subs_) sub->set_masses(masses);
 }
@@ -207,6 +212,7 @@ void ShardedGravityClient::set_masses(std::span<const double> masses) {
 void ShardedGravityClient::set_masses_sparse(
     std::span<const std::int32_t> indices, std::span<const double> masses) {
   drain_pending();
+  if (!indices.empty()) coupling_changed();
   for (std::size_t i = 0; i < indices.size(); ++i) {
     const auto index = static_cast<std::size_t>(indices[i]);
     if (index < cache_.mass.size()) cache_.mass[index] = masses[i];
@@ -219,27 +225,40 @@ double ShardedGravityClient::model_time() {
   return subs_[0]->model_time();
 }
 
-void ShardedGravityClient::get_dynamics(std::vector<Vec3>& acc,
-                                        std::vector<Vec3>& jerk,
-                                        double& model_time) {
+Future ShardedGravityClient::request_dynamics() {
+  pending_dynamics_.clear();
+  Future head = subs_[0]->request_dynamics();
+  for (std::size_t k = 1; k < subs_.size(); ++k) {
+    pending_dynamics_.push_back(subs_[k]->request_dynamics());
+  }
+  return head;
+}
+
+void ShardedGravityClient::finish_dynamics(Future& reply,
+                                           std::vector<Vec3>& acc,
+                                           std::vector<Vec3>& jerk,
+                                           double& model_time) {
   drain_pending();
   acc.clear();
   jerk.clear();
   model_time = 0.0;
   for (std::size_t k = 0; k < subs_.size(); ++k) {
+    Future& shard_reply = (k == 0) ? reply : pending_dynamics_[k - 1];
     std::vector<Vec3> shard_acc, shard_jerk;
     double shard_time = 0.0;
-    subs_[k]->get_dynamics(shard_acc, shard_jerk, shard_time);
+    subs_[k]->finish_dynamics(shard_reply, shard_acc, shard_jerk, shard_time);
     if (k == 0) model_time = shard_time;
     acc.insert(acc.end(), shard_acc.begin(), shard_acc.end());
     jerk.insert(jerk.end(), shard_jerk.begin(), shard_jerk.end());
   }
+  pending_dynamics_.clear();
 }
 
 void ShardedGravityClient::set_dynamics(std::span<const Vec3> acc,
                                         std::span<const Vec3> jerk,
                                         double model_time) {
   drain_pending();
+  coupling_changed();
   // Full arrays travel; a sharded worker zeroes the ghost rows on receipt so
   // the restored shard replays bit-identically to the one it replaces.
   for (auto& sub : subs_) sub->set_dynamics(acc, jerk, model_time);
@@ -265,13 +284,15 @@ void ShardedGravityClient::reset_delta_caches() {
     }
   }
   pending_.clear();
-  for (Future& pending : pending_state_) {
-    try {
-      pending.get();
-    } catch (...) {
+  for (std::vector<Future>* stash : {&pending_state_, &pending_dynamics_}) {
+    for (Future& pending : *stash) {
+      try {
+        pending.get();
+      } catch (...) {
+      }
     }
+    stash->clear();
   }
-  pending_state_.clear();
   GravityClient::reset_delta_caches();
   for (auto& sub : subs_) sub->reset_delta_caches();
 }
@@ -294,6 +315,7 @@ void ShardedGravityClient::close() {
   }
   pending_.clear();
   pending_state_.clear();
+  pending_dynamics_.clear();
   for (auto& sub : subs_) sub->close();
 }
 

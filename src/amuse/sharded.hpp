@@ -59,8 +59,11 @@ class ShardedGravityClient : public GravityClient {
   void set_masses_sparse(std::span<const std::int32_t> indices,
                          std::span<const double> masses) override;
   double model_time() override;
-  void get_dynamics(std::vector<Vec3>& acc, std::vector<Vec3>& jerk,
-                    double& model_time) override;
+  /// Fan-out dynamics fetch: shard 0's future is returned, the others are
+  /// held until finish_dynamics concatenates the owned slices.
+  Future request_dynamics() override;
+  void finish_dynamics(Future& reply, std::vector<Vec3>& acc,
+                       std::vector<Vec3>& jerk, double& model_time) override;
   void set_dynamics(std::span<const Vec3> acc, std::span<const Vec3> jerk,
                     double model_time) override;
 
@@ -86,6 +89,7 @@ class ShardedGravityClient : public GravityClient {
   std::vector<std::pair<std::size_t, std::size_t>> ranges_;
   std::vector<Future> pending_;
   std::vector<Future> pending_state_;  // shards 1.. of an open request_state
+  std::vector<Future> pending_dynamics_;  // shards 1.. of request_dynamics
 };
 
 }  // namespace jungle::amuse

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "amuse/bridge.hpp"
 #include "amuse/clients.hpp"
 #include "amuse/daemon.hpp"
+#include "amuse/faultpoint.hpp"
 #include "amuse/faults.hpp"
 #include "amuse/ic.hpp"
 #include "amuse/workers.hpp"
+#include "obs/metrics.hpp"
 #include "zorilla/zorilla.hpp"
 
 using namespace jungle;
@@ -507,16 +512,38 @@ TEST(Distributed, RestartedWorkerMintsFreshStateIds) {
   });
 }
 
+/// RPCs each client issued during the top cross-kick of every bridge step
+/// (from step_top_kick to step_evolve), read off the per-client meters.
+struct TopKickCalls {
+  std::vector<double> stars, gas, coupler;
+};
+
 TEST(Distributed, PipelinedBridgeMatchesSynchronousBitExact) {
   // Acceptance: the pipelined/delta data path must be a pure wire
   // optimization — the physics trajectory is bit-identical to the serial
   // full-fetch baseline, stellar feedback and all.
-  auto run_bridge = [](bool synchronous) {
+  auto run_bridge = [](bool synchronous, TopKickCalls& calls) {
     Lab lab;
     GravityState stars;
     HydroState gas;
+    const std::string meter = synchronous ? "bitexact.sync." : "bitexact.pipe.";
+    auto count = [&](const char* client) {
+      return obs::metrics::counter_value("rpc." + meter + client + ".calls");
+    };
+    std::array<double, 3> at_top{};
+    faultpoint::ScopedHook hook([&](const faultpoint::Context& ctx) {
+      std::array<double, 3> now{count("stars"), count("gas"), count("coupler")};
+      if (ctx.point == faultpoint::Point::step_top_kick) at_top = now;
+      if (ctx.point != faultpoint::Point::step_evolve) return;
+      calls.stars.push_back(now[0] - at_top[0]);
+      calls.gas.push_back(now[1] - at_top[1]);
+      calls.coupler.push_back(now[2] - at_top[2]);
+    });
     lab.run([&] {
       BridgeRig rig(lab);
+      rig.stars->rpc().set_meter(meter + "stars");
+      rig.gas->rpc().set_meter(meter + "gas");
+      rig.coupler->rpc().set_meter(meter + "coupler");
       Bridge::Config config;
       config.dt = 1.0 / 64.0;
       config.se_every = 2;
@@ -529,15 +556,16 @@ TEST(Distributed, PipelinedBridgeMatchesSynchronousBitExact) {
       rig.gas->set_delta_exchange(!synchronous);
       rig.coupler->set_delta_exchange(!synchronous);
       Bridge bridge(*rig.stars, *rig.gas, *rig.coupler, rig.se.get(), config);
-      for (int i = 0; i < 4; ++i) bridge.step();
+      for (int i = 0; i < 8; ++i) bridge.step();
       stars = rig.stars->get_state();
       gas = rig.gas->get_state();
       rig.close();
     });
     return std::pair{stars, gas};
   };
-  auto [stars_sync, gas_sync] = run_bridge(true);
-  auto [stars_pipe, gas_pipe] = run_bridge(false);
+  TopKickCalls sync_calls, pipe_calls;
+  auto [stars_sync, gas_sync] = run_bridge(true, sync_calls);
+  auto [stars_pipe, gas_pipe] = run_bridge(false, pipe_calls);
   ASSERT_EQ(stars_sync.position.size(), stars_pipe.position.size());
   ASSERT_EQ(gas_sync.position.size(), gas_pipe.position.size());
   for (std::size_t i = 0; i < stars_sync.position.size(); ++i) {
@@ -553,6 +581,138 @@ TEST(Distributed, PipelinedBridgeMatchesSynchronousBitExact) {
     EXPECT_EQ(gas_sync.internal_energy[i], gas_pipe.internal_energy[i]);
     EXPECT_EQ(gas_sync.density[i], gas_pipe.density[i]);
   }
+
+  // The top kick of step 0 fetches both states and queries both
+  // directions. After that, nothing between a bottom kick and the next top
+  // kick moves a position, so the pipelined top kick is kick-only: no state
+  // fetch, no field query, one (repeat) kick per system. The exception is
+  // a step right after a stellar update that changed star masses (SE runs
+  // after steps 1, 3, 5 and 7; those after steps 3 and 5 change masses):
+  // the stars are fetched again, and the one direction whose sources are
+  // the stars is queried.
+  ASSERT_EQ(pipe_calls.stars.size(), 8u);
+  EXPECT_EQ(pipe_calls.stars[0], 2.0);
+  EXPECT_EQ(pipe_calls.gas[0], 2.0);
+  EXPECT_EQ(pipe_calls.coupler[0], 2.0);
+  for (int step = 1; step < 8; ++step) {
+    SCOPED_TRACE(step);
+    bool masses_moved = step == 4 || step == 6;
+    EXPECT_EQ(pipe_calls.stars[step], masses_moved ? 2.0 : 1.0);
+    EXPECT_EQ(pipe_calls.gas[step], 1.0);
+    EXPECT_EQ(pipe_calls.coupler[step], masses_moved ? 1.0 : 0.0);
+  }
+  // The synchronous baseline keeps every round trip: a full fetch and a
+  // kick per system, set_sources + accel_at per direction.
+  ASSERT_EQ(sync_calls.stars.size(), 8u);
+  for (int step = 0; step < 8; ++step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(sync_calls.stars[step], 2.0);
+    EXPECT_EQ(sync_calls.gas[step], 2.0);
+    EXPECT_EQ(sync_calls.coupler[step], 4.0);
+  }
+}
+
+TEST(Distributed, CouplingCurrentOnlyWhenWorkerAgrees) {
+  // The staleness rule the pipelined bridge relies on to skip state
+  // fetches: whenever a client claims its cached coupling fields are
+  // current, a real fetch must find the worker's mass and position
+  // unchanged (same content ids, same bits).
+  Lab lab;
+  int claims = 0;
+  std::vector<std::string> stale_after;
+  lab.run([&] {
+    BridgeRig rig(lab);
+    auto check = [&](DynamicsClient& client, const std::string& after) {
+      if (!client.coupling_current()) {
+        stale_after.push_back(after);
+        return;
+      }
+      ++claims;
+      StateId sources = client.coupling_sources_id();
+      StateId points = client.position_id();
+      std::vector<double> mass(client.mass().begin(), client.mass().end());
+      std::vector<Vec3> position(client.position().begin(),
+                                 client.position().end());
+      Future reply = client.request_state(state_field::coupling);
+      client.merge_state(reply, state_field::coupling);
+      EXPECT_EQ(client.coupling_sources_id(), sources) << after;
+      EXPECT_EQ(client.position_id(), points) << after;
+      ASSERT_EQ(client.mass().size(), mass.size()) << after;
+      ASSERT_EQ(client.position().size(), position.size()) << after;
+      EXPECT_EQ(std::memcmp(client.mass().data(), mass.data(),
+                            mass.size() * sizeof(double)),
+                0)
+          << after;
+      EXPECT_EQ(std::memcmp(client.position().data(), position.data(),
+                            position.size() * sizeof(Vec3)),
+                0)
+          << after;
+    };
+    auto fetch = [](DynamicsClient& client, std::uint64_t mask) {
+      Future reply = client.request_state(mask);
+      client.merge_state(reply, mask);
+    };
+
+    GravityClient& stars = *rig.stars;
+    check(stars, "stars: load");
+    fetch(stars, state_field::coupling);
+    check(stars, "stars: fetch");
+    std::vector<Vec3> star_accel(stars.mass().size(), Vec3{1e-3, 0.0, 0.0});
+    stars.kick_async(star_accel, 0.5).get();
+    check(stars, "stars: kick");
+    stars.kick_async(star_accel, 0.25).get();  // repeat frame
+    check(stars, "stars: repeat kick");
+    stars.evolve(1.0 / 64.0);
+    check(stars, "stars: evolve");
+    fetch(stars, state_field::position);  // does not cover mass
+    check(stars, "stars: position-only fetch");
+    fetch(stars, state_field::gravity_all);
+    check(stars, "stars: full fetch");
+    stars.set_masses_sparse({}, {});
+    check(stars, "stars: empty sparse masses");
+    std::vector<std::int32_t> index{3};
+    std::vector<double> value{stars.mass()[3] * 0.5};
+    stars.set_masses_sparse(index, value);
+    check(stars, "stars: sparse masses");
+    fetch(stars, state_field::coupling);
+    Future racing = stars.request_state(state_field::coupling);
+    Future evolving = stars.evolve_async(2.0 / 64.0);
+    stars.merge_state(racing, state_field::coupling);
+    evolving.get();
+    check(stars, "stars: evolve issued behind a fetch");
+    fetch(stars, state_field::coupling);
+    stars.reset_delta_caches();
+    check(stars, "stars: reset_delta_caches");
+
+    HydroClient& gas = *rig.gas;
+    check(gas, "gas: load");
+    fetch(gas, state_field::coupling);
+    check(gas, "gas: fetch");
+    std::vector<Vec3> gas_accel(gas.mass().size(), Vec3{0.0, 1e-3, 0.0});
+    gas.kick_async(gas_accel, 0.5).get();
+    check(gas, "gas: kick");
+    std::vector<std::int32_t> heated{0, 5};
+    std::vector<double> delta_u{0.1, 0.2};
+    gas.inject(heated, delta_u);
+    check(gas, "gas: inject");
+    gas.evolve(1.0 / 64.0);
+    check(gas, "gas: evolve");
+    fetch(gas, state_field::hydro_all);
+    check(gas, "gas: full fetch");
+    gas.reset_delta_caches();
+    check(gas, "gas: reset_delta_caches");
+    rig.close();
+  });
+  // The rule claims exactly what it may: current after fetches covering
+  // mass+position, kicks, empty mass updates and injection; stale after
+  // every call that can move a mass or a position.
+  EXPECT_EQ(claims, 9);
+  EXPECT_EQ(stale_after,
+            (std::vector<std::string>{
+                "stars: load", "stars: evolve", "stars: position-only fetch",
+                "stars: sparse masses", "stars: evolve issued behind a fetch",
+                "stars: reset_delta_caches", "gas: load", "gas: evolve",
+                "gas: reset_delta_caches"}));
 }
 
 TEST(Distributed, ResourceSelectorFindsReplacement) {

@@ -128,14 +128,15 @@ const Outcome& golden() {
   return gold;
 }
 
-void expect_recovered_on_golden(const Outcome& out) {
+void expect_recovered_on_golden(const Outcome& out,
+                                const Outcome& gold = golden()) {
   ASSERT_TRUE(out.completed) << out.error;
-  EXPECT_EQ(out.digest, golden().digest);
-  EXPECT_NEAR(out.energy, golden().energy,
-              1e-8 * std::max(1.0, std::fabs(golden().energy)));
+  EXPECT_EQ(out.digest, gold.digest);
+  EXPECT_NEAR(out.energy, gold.energy,
+              1e-8 * std::max(1.0, std::fabs(gold.energy)));
   // Crashed hosts take their own processes down, so fewer survivors than
   // the golden run is fine; more means recovery leaked one.
-  EXPECT_LE(out.live, golden().live);
+  EXPECT_LE(out.live, gold.live);
 }
 
 }  // namespace
@@ -174,6 +175,26 @@ TEST(Faults, CrashDuringCaptureReplaysBitExact) {
   expect_recovered_on_golden(out);
 }
 
+TEST(Faults, CrashWhileCapturesInFlightReplaysBitExact) {
+  // A checkpoint issues every model's capture calls before it reads any
+  // reply. Pin alpha onto node0 (with the field kernel, whose capture is
+  // client-side, last in model order) and crash node0 at the last
+  // ckpt.capture of epoch 1 (#3): alpha's state and dynamics fetches are
+  // still in flight when its host dies. Nothing may commit; recovery rolls
+  // back to the initial conditions and replays onto the golden bits (the
+  // physics does not depend on placement).
+  auto alpha_on_node0 = [](ExperimentSpec& spec) {
+    spec.models[static_cast<std::size_t>(spec.find("alpha"))].place =
+        "cluster/node0";
+  };
+  Outcome out =
+      run_triple_plummer("ckpt.capture@0#3=crash:node0", alpha_on_node0);
+  EXPECT_EQ(out.fired, 1);
+  EXPECT_GE(out.restarts, 1);
+  EXPECT_EQ(out.rollbacks, 1.0);
+  expect_recovered_on_golden(out);
+}
+
 TEST(Faults, DoubleFaultDuringReplaceRecovers) {
   // Explorer schedule "step.evolve@1#0=crash:node0;
   // recover.replace@-1#0=crash:node1": the second cluster node dies while
@@ -206,12 +227,25 @@ TEST(Faults, CrashDuringReplaceSpawnRetries) {
   // dying at the worst moment — exactly when a replacement is being
   // started on it — and fall back to another node.
   // Startup reaches spawn.worker@-1 once (#0), so #1 is the first spawn
-  // after the crash.
+  // after the crash. At 128 bodies per cluster the field kernel lost with
+  // node0 is re-placed onto the client, which spawns nothing; at 512 the
+  // tree evaluation is worth the WAN hop and the re-place spawns on node1,
+  // so the second crash lands mid-spawn. The start fails, the cluster is
+  // excluded, and the field kernel is re-placed once more, onto the client.
+  auto big_clusters = [](ExperimentSpec& spec) {
+    for (ModelSpec& model : spec.models) {
+      if (model.role == sched::Role::gravity) model.n = 512;
+    }
+  };
+  static const Outcome gold = run_triple_plummer("", big_clusters);
   Outcome out = run_triple_plummer(
-      "step.top_kick@1#0=crash:node0;spawn.worker@-1#1=crash:node1");
-  EXPECT_GE(out.fired, 1);  // second shot only fires if recovery respawns
+      "step.top_kick@1#0=crash:node0;spawn.worker@-1#1=crash:node1",
+      big_clusters);
+  EXPECT_EQ(out.fired, 2);
   EXPECT_GE(out.restarts, 1);
-  expect_recovered_on_golden(out);
+  EXPECT_NE(out.placement.find("ringfield=fi@local"), std::string::npos)
+      << out.placement;
+  expect_recovered_on_golden(out, gold);
 }
 
 TEST(Faults, CrashDuringInitialSpawnReplaces) {

@@ -10,6 +10,7 @@
 
 #include "amuse/clients.hpp"
 #include "amuse/experiment.hpp"
+#include "amuse/faults.hpp"
 #include "amuse/ic.hpp"
 #include "amuse/sharded.hpp"
 #include "amuse/workers.hpp"
@@ -158,6 +159,69 @@ TEST(Sharding, KickAndStateRoundTripThroughFacade) {
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(state.velocity[i].x, before[i].x + 0.5, 1e-12);
     }
+    gravity.close();
+  });
+}
+
+TEST(Sharding, FacadeCaptureFansOutAndTracksCouplingStaleness) {
+  LocalWorld w;
+  w.run([&] {
+    util::Rng rng(11);
+    std::size_t n = 96;
+    auto model = ic::plummer_sphere(n, rng);
+    std::vector<std::unique_ptr<GravityClient>> subs;
+    for (int k = 0; k < 3; ++k) subs.push_back(local_gravity(w));
+    ShardedGravityClient gravity(std::move(subs));
+    gravity.set_params(1e-4, 0.02);
+    gravity.add_particles(model.mass, model.position, model.velocity);
+    EXPECT_FALSE(gravity.coupling_current());
+    gravity.evolve(1.0 / 64.0);
+    EXPECT_FALSE(gravity.coupling_current());
+
+    // One capture issues every shard's calls; the dynamics come back as
+    // the shards' owned slices in shard order, the clock from shard 0.
+    GravityCapture calls = request_capture(gravity);
+    GravityCheckpoint save = finish_capture(gravity, calls);
+    std::vector<Vec3> acc, jerk;
+    double shard0_time = 0.0;
+    for (int k = 0; k < gravity.shard_count(); ++k) {
+      std::vector<Vec3> shard_acc, shard_jerk;
+      double time = 0.0;
+      Future reply = gravity.shard(k).request_dynamics();
+      gravity.shard(k).finish_dynamics(reply, shard_acc, shard_jerk, time);
+      if (k == 0) shard0_time = time;
+      acc.insert(acc.end(), shard_acc.begin(), shard_acc.end());
+      jerk.insert(jerk.end(), shard_jerk.begin(), shard_jerk.end());
+    }
+    EXPECT_TRUE(bit_identical(save.acc, acc));
+    EXPECT_TRUE(bit_identical(save.jerk, jerk));
+    EXPECT_EQ(save.model_time, shard0_time);
+    EXPECT_EQ(save.state.position.size(), n);
+
+    // The full fetch covered mass+position: current until something can
+    // move them, and a real fetch then finds nothing changed.
+    EXPECT_TRUE(gravity.coupling_current());
+    std::vector<Vec3> accel(n, Vec3{1e-3, 0.0, 0.0});
+    gravity.kick_async(accel, 0.5).get();
+    gravity.set_masses_sparse({}, {});
+    EXPECT_TRUE(gravity.coupling_current());
+    StateId sources = gravity.coupling_sources_id();
+    std::vector<Vec3> position = gravity.cached_state().position;
+    Future reply = gravity.request_state(state_field::coupling);
+    gravity.finish_state(reply, state_field::coupling);
+    EXPECT_EQ(gravity.coupling_sources_id(), sources);
+    EXPECT_TRUE(bit_identical(gravity.cached_state().position, position));
+
+    std::vector<std::int32_t> index{40};
+    std::vector<double> value{model.mass[40] * 0.5};
+    gravity.set_masses_sparse(index, value);
+    EXPECT_FALSE(gravity.coupling_current());
+    reply = gravity.request_state(state_field::coupling);
+    gravity.finish_state(reply, state_field::coupling);
+    EXPECT_TRUE(gravity.coupling_current());
+    EXPECT_NE(gravity.coupling_sources_id(), sources);
+    gravity.reset_delta_caches();
+    EXPECT_FALSE(gravity.coupling_current());
     gravity.close();
   });
 }

@@ -5,6 +5,8 @@ Compares a freshly produced BENCH_datapath.json against the reference
 committed in the repository and fails when:
   * bytes-per-bridge-step of the delta path on the Fig-6 jungle scenario
     regressed beyond the tolerance,
+  * virtual seconds per iteration of the pipelined path on the deep-WAN
+    topology regressed beyond the tolerance,
   * the delta exchange no longer saves >= 2x bytes over the synchronous
     baseline, or
   * the pipelined path is no longer faster than the synchronous one on the
@@ -16,7 +18,8 @@ Usage: check_datapath.py NEW_JSON REF_JSON
 import json
 import sys
 
-TOLERANCE = 1.05  # simulated byte counts are deterministic; 5% headroom
+# Simulated byte counts and virtual times are deterministic; 5% headroom.
+TOLERANCE = 1.05
 
 
 def rows_by_name(doc):
@@ -41,6 +44,15 @@ def main():
         failures.append(
             f"bytes-per-bridge-step regressed: {new_bytes:.0f} > "
             f"{ref_bytes:.0f} * {TOLERANCE}")
+
+    name = "deepwan_pipelined"
+    new_secs = new_rows[name]["seconds_per_iteration"]
+    ref_secs = ref_rows[name]["seconds_per_iteration"]
+    print(f"{name}: {new_secs:.4f} virt s/iteration (ref {ref_secs:.4f})")
+    if new_secs > ref_secs * TOLERANCE:
+        failures.append(
+            f"deep-WAN pipelined iteration regressed: {new_secs:.4f} > "
+            f"{ref_secs:.4f} * {TOLERANCE}")
 
     ratio = new["fig6_bytes_ratio_sync_over_delta"]
     print(f"fig6 bytes ratio sync/delta: {ratio:.2f}x")
